@@ -6,13 +6,19 @@
 // traffic pattern on an identically seeded fabric yields bit-identical
 // delivery traces under every RoutingPolicy (Valiant's intermediate
 // choice draws from a seeded per-switch RNG, not ambient entropy).
+// Finally control-plane determinism: pinned per-pod admission digests of
+// the k8s controllers under a spike, a ramp, controller restarts and a
+// switch failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/stack.hpp"
 #include "hsn/fabric.hpp"
 #include "hsn/shard_engine.hpp"
 #include "sim/event_loop.hpp"
@@ -1142,6 +1148,209 @@ TEST(FabricRoutingDeterminism, IdenticalSeedsIdenticalTracesPerPolicy) {
       EXPECT_NE(a, routed_trace(dragonfly, 64, 0x0bad));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Control-plane determinism.  The k8s controllers (job controller,
+// scheduler, VNI decorator, kubelets) must replay identically per seed:
+// every pod's lifecycle timestamps and granted VNI, the final loop time
+// and the event count are folded into one digest per episode.  The
+// constants were recorded from the full-scan controllers (every tick
+// walked every object); the indexed, dirty-set controllers that replaced
+// them must reproduce them bit for bit.
+
+/// Latest snapshot of every pod ever seen on the watch stream (the final
+/// one for pods that were reaped), plus the run's loop totals.
+struct ControlPlaneEpisode {
+  std::map<k8s::Uid, k8s::Pod> pods;
+  SimTime end_vt = 0;
+  std::uint64_t events = 0;
+  k8s::Scheduler::BindTelemetry binds;
+};
+
+void record_pods(core::SlingshotStack& stack, ControlPlaneEpisode& e) {
+  stack.api().watch_pods([&e](const k8s::WatchEvent<k8s::Pod>& ev) {
+    e.pods[ev.object.meta.uid] = ev.object;
+  });
+}
+
+/// Runs the loop one simulated second at a time until no job is left (or
+/// `max_vt`), counting executed events.
+void drain_jobs(core::SlingshotStack& stack, ControlPlaneEpisode& e,
+                SimTime max_vt = 600 * kSecond) {
+  while (stack.loop().now() < max_vt) {
+    std::size_t alive = 0;
+    stack.api().visit_jobs([&](const k8s::Job&) { ++alive; });
+    if (alive == 0) break;
+    e.events += stack.loop().run_for(kSecond);
+  }
+  e.end_vt = stack.loop().now();
+  e.binds = stack.scheduler().bind_telemetry();
+}
+
+std::uint64_t control_plane_digest(const ControlPlaneEpisode& e) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const auto& [uid, p] : e.pods) {
+    h = fnv1a_mix(h, uid);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(p.meta.creation_vt));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(p.status.scheduled_vt));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(p.status.running_vt));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(p.status.finished_vt));
+    h = fnv1a_mix(h, p.status.vni);
+    for (const char c : p.status.node) {
+      h = fnv1a_mix(h, static_cast<unsigned char>(c));
+    }
+  }
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(e.end_vt));
+  h = fnv1a_mix(h, e.events);
+  h = fnv1a_mix(h, e.binds.binds);
+  h = fnv1a_mix(h, e.binds.drained_rebound);
+  h = fnv1a_mix(h, e.binds.drained_evicted);
+  return h;
+}
+
+core::JobOptions spike_job(const std::string& name, int pods,
+                           SimDuration run, const std::string& vni) {
+  core::JobOptions o;
+  o.name = name;
+  o.vni_annotation = vni;
+  o.pods = pods;
+  o.run_duration = run;
+  o.grace_s = 5;
+  o.ttl_after_finished_s = 0;
+  return o;
+}
+
+/// The paper's spike test at 200 jobs: single-pod vni:"true" jobs all
+/// submitted at t = 0 on the default 2-node stack.
+ControlPlaneEpisode spike_episode(std::uint64_t seed) {
+  core::StackConfig cfg;
+  cfg.seed = seed;
+  core::SlingshotStack stack(cfg);
+  ControlPlaneEpisode e;
+  record_pods(stack, e);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(stack.submit_job(spike_job("spike-" + std::to_string(i), 1,
+                                           from_millis(100), "true"))
+                    .is_ok());
+  }
+  drain_jobs(stack, e);
+  return e;
+}
+
+/// A fig9-style ramp: batches of 1..6, 6, 6, 5..1 jobs one second apart,
+/// alternating vni:"true" and unannotated batches.
+ControlPlaneEpisode ramp_episode(std::uint64_t seed) {
+  core::StackConfig cfg;
+  cfg.seed = seed;
+  core::SlingshotStack stack(cfg);
+  ControlPlaneEpisode e;
+  record_pods(stack, e);
+  std::vector<int> batches;
+  for (int n = 1; n <= 6; ++n) batches.push_back(n);
+  batches.push_back(6);
+  batches.push_back(6);
+  for (int n = 5; n >= 1; --n) batches.push_back(n);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    stack.loop().schedule_at(
+        static_cast<SimTime>(b) * kSecond, [&stack, b, n = batches[b]] {
+          for (int i = 0; i < n; ++i) {
+            (void)stack.submit_job(spike_job(
+                "ramp-" + std::to_string(b) + "-" + std::to_string(i), 1,
+                from_millis(100), b % 2 == 0 ? "true" : ""));
+          }
+        });
+  }
+  e.events += stack.loop().run_for(from_millis(500));
+  drain_jobs(stack, e);
+  return e;
+}
+
+/// A 4-node spike of 3-pod spread jobs whose scheduler and job controller
+/// crash and rebuild from the API server while pods are being created,
+/// bound and torn down (lost creates are replaced, lost binds re-placed).
+ControlPlaneEpisode restart_episode(std::uint64_t seed) {
+  core::StackConfig cfg;
+  cfg.seed = seed;
+  cfg.nodes = 4;
+  core::SlingshotStack stack(cfg);
+  ControlPlaneEpisode e;
+  record_pods(stack, e);
+  for (int i = 0; i < 60; ++i) {
+    auto o = spike_job("rs-" + std::to_string(i), 3, 2 * kSecond,
+                       i % 3 == 0 ? "" : "true");
+    o.spread_key = o.name;
+    EXPECT_TRUE(stack.submit_job(o).is_ok());
+  }
+  // The job controller dies with its first pod creates in flight, the
+  // scheduler with binds in flight, then both mid-run.
+  e.events += stack.loop().run_for(from_millis(30));
+  stack.restart_job_controller();
+  e.events += stack.loop().run_for(from_millis(170));
+  stack.restart_scheduler();
+  e.events += stack.loop().run_for(from_millis(1800));
+  stack.restart_scheduler();
+  stack.restart_job_controller();
+  e.events += stack.loop().run_for(2 * kSecond);
+  stack.restart_job_controller();
+  drain_jobs(stack, e);
+  return e;
+}
+
+/// Admission on a fat tree (8 nodes, 2 per leaf, 2 spines) while leaf 1
+/// dies and later comes back: the scheduler drains its pods (unstarted
+/// ones rebound, started ones evicted) and the job controller replaces
+/// the evicted ones.
+ControlPlaneEpisode switch_failure_episode(std::uint64_t seed) {
+  core::StackConfig cfg;
+  cfg.seed = seed;
+  cfg.nodes = 8;
+  cfg.topology.kind = hsn::TopologyKind::kFatTree;
+  cfg.topology.nodes_per_switch = 2;
+  cfg.topology.spines = 2;
+  core::SlingshotStack stack(cfg);
+  ControlPlaneEpisode e;
+  record_pods(stack, e);
+  for (int i = 0; i < 30; ++i) {
+    auto o = spike_job("sf-" + std::to_string(i), 2, 4 * kSecond, "true");
+    o.spread_key = o.name;
+    EXPECT_TRUE(stack.submit_job(o).is_ok());
+  }
+  e.events += stack.loop().run_for(from_millis(1500));
+  EXPECT_TRUE(stack.fail_switch(1).is_ok());
+  e.events += stack.loop().run_for(from_millis(6500));
+  EXPECT_TRUE(stack.restore_switch(1).is_ok());
+  drain_jobs(stack, e);
+  return e;
+}
+
+TEST(ControlPlaneDeterminism, SpikeMatchesPinnedDigests) {
+  const auto a = spike_episode(0x5b1e);
+  EXPECT_EQ(a.pods.size(), 200u);
+  EXPECT_EQ(control_plane_digest(a), 0x9f2e3a7c1d2c0821ULL);
+  EXPECT_EQ(control_plane_digest(spike_episode(0x5b1f)),
+            0xc2e5b30755471a35ULL);
+}
+
+TEST(ControlPlaneDeterminism, RampMatchesPinnedDigest) {
+  const auto a = ramp_episode(0xf19);
+  EXPECT_EQ(a.pods.size(), 48u);
+  EXPECT_EQ(control_plane_digest(a), 0x41a71517814e0c34ULL);
+}
+
+TEST(ControlPlaneDeterminism, ControllerRestartsMatchPinnedDigest) {
+  const auto a = restart_episode(0x7e57);
+  EXPECT_GE(a.pods.size(), 180u);
+  EXPECT_EQ(control_plane_digest(a), 0x80dbb8e95222fa72ULL);
+}
+
+TEST(ControlPlaneDeterminism, SwitchFailureMatchesPinnedDigest) {
+  const auto a = switch_failure_episode(0xfa11);
+  // The failure hit live work: pods were drained and replaced.
+  EXPECT_GT(a.binds.drained_evicted, 0u);
+  EXPECT_GT(a.binds.drained_rebound + a.binds.drained_evicted, 0u);
+  EXPECT_GT(a.pods.size(), 60u);
+  EXPECT_EQ(control_plane_digest(a), 0xf6fa1a3eaef25401ULL);
 }
 
 }  // namespace
