@@ -1,5 +1,7 @@
 #include "core/cxi_cni.hpp"
 
+#include <optional>
+
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -43,18 +45,17 @@ Result<cri::CniAddResult> CxiCniPlugin::add(const cri::CniContext& ctx) {
   // Fetch the VNI from the job's VNI CRD instance (the plugin queries the
   // Kubernetes management plane, Section III-B).  Not there yet -> the
   // container must not launch; the kubelet retries.
-  const k8s::Uid owner = ctx.owner_job_uid;
-  const auto vni_objects = api_.list_vni_objects(
-      [&](const k8s::VniObject& v) {
-        return v.bound_uid == owner && !v.meta.deletion_requested;
-      });
-  if (vni_objects.empty()) {
+  std::optional<hsn::Vni> served;
+  api_.visit_vni_objects_of(ctx.owner_job_uid, [&](const k8s::VniObject& v) {
+    if (!served && !v.meta.deletion_requested) served = v.vni;
+  });
+  if (!served) {
     ++counters_.unavailable_adds;
     return R(unavailable(strfmt(
         "no VNI CRD instance served yet for job of pod %s (annotation '%s')",
         ctx.pod_name.c_str(), ann->second.c_str())));
   }
-  const hsn::Vni vni = vni_objects.front().vni;
+  const hsn::Vni vni = *served;
 
   // Create the CXI service: NETNS member for this container's namespace,
   // restricted to exactly the granted VNI.

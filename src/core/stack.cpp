@@ -344,8 +344,10 @@ bool SlingshotStack::wait_job_gone(k8s::Uid job, SimDuration max_wait) {
 }
 
 std::vector<k8s::Pod> SlingshotStack::pods_of_job(k8s::Uid job) const {
-  return api_->list_pods(
-      [&](const k8s::Pod& p) { return p.meta.owner_uid == job; });
+  std::vector<k8s::Pod> pods;
+  api_->visit_pods_of_owner(job,
+                            [&](const k8s::Pod& p) { pods.push_back(p); });
+  return pods;
 }
 
 Result<SlingshotStack::PodHandle> SlingshotStack::exec_in_pod(

@@ -8,8 +8,21 @@
 //     timestamp; the object only disappears when its finalizer list
 //     drains (controllers own finalizers, exactly like kubelet and the
 //     Metacontroller decorator in the real system);
-//   * reads return snapshots (value semantics) — controllers never alias
-//     live store memory.
+//   * reads return snapshots (value semantics); the copy-free `find_*` /
+//     `visit_*` reads are for controller hot paths and must not outlive
+//     the next mutation.
+//
+// Controllers are change-driven (the informer / work-queue pattern):
+//   * each store keeps a `(namespace, name) -> uid` index, and pods and
+//     VNI objects keep secondary indexes (pods by owner and by bound
+//     node, VNI objects by the resource they decorate), all maintained
+//     on every mutation;
+//   * a *change sink* is called synchronously on every resourceVersion
+//     bump and every reap, with the object's new state (its last state
+//     when reaped).  Unlike the watch it is not delayed, so a controller
+//     that marks keys dirty from it sees exactly the state a full scan
+//     would, and it also covers finalizer removals that reap nothing
+//     (which send no watch event).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +30,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "k8s/objects.hpp"
@@ -32,11 +47,87 @@ using SubId = std::uint64_t;
 
 namespace detail {
 
-/// One kind's storage: uid-indexed objects + subscribers.
+/// A secondary index: the uids of a kind's objects grouped by one key,
+/// uid-ordered within a key (the order a scan of the store visits them).
+template <typename T, typename Key, const Key& (*KeyOf)(const T&)>
+class Index {
+ public:
+  void insert(const T& obj) { buckets_[KeyOf(obj)].insert(obj.meta.uid); }
+
+  void erase(const T& obj) {
+    const auto it = buckets_.find(KeyOf(obj));
+    it->second.erase(obj.meta.uid);
+    if (it->second.empty()) buckets_.erase(it);
+  }
+
+  /// Re-files an object whose state changes from `before` to `after`.
+  void update(const T& before, const T& after) {
+    if (KeyOf(before) == KeyOf(after)) return;
+    erase(before);
+    insert(after);
+  }
+
+  [[nodiscard]] const std::set<Uid>& at(const Key& key) const {
+    static const std::set<Uid> kNone;
+    const auto it = buckets_.find(key);
+    return it == buckets_.end() ? kNone : it->second;
+  }
+
+ private:
+  std::unordered_map<Key, std::set<Uid>> buckets_;
+};
+
+inline const Uid& pod_owner(const Pod& p) { return p.meta.owner_uid; }
+inline const std::string& pod_node(const Pod& p) { return p.status.node; }
+inline const Uid& vni_bound(const VniObject& v) { return v.bound_uid; }
+
+/// The secondary indexes of one kind (none by default).
+template <typename T>
+struct Indexes {
+  void insert(const T&) {}
+  void erase(const T&) {}
+  void update(const T&, const T&) {}
+};
+
+template <>
+struct Indexes<Pod> {
+  Index<Pod, Uid, pod_owner> by_owner;
+  Index<Pod, std::string, pod_node> by_node;  ///< "" = unbound
+
+  void insert(const Pod& p) {
+    by_owner.insert(p);
+    by_node.insert(p);
+  }
+  void erase(const Pod& p) {
+    by_owner.erase(p);
+    by_node.erase(p);
+  }
+  void update(const Pod& before, const Pod& after) {
+    by_owner.update(before, after);
+    by_node.update(before, after);
+  }
+};
+
+template <>
+struct Indexes<VniObject> {
+  Index<VniObject, Uid, vni_bound> by_bound;
+
+  void insert(const VniObject& v) { by_bound.insert(v); }
+  void erase(const VniObject& v) { by_bound.erase(v); }
+  void update(const VniObject& before, const VniObject& after) {
+    by_bound.update(before, after);
+  }
+};
+
+/// One kind's storage: uid-ordered objects, their indexes, watchers and
+/// change sinks.
 template <typename T>
 class Store {
  public:
   using Watcher = std::function<void(const WatchEvent<T>&)>;
+  /// Synchronous change sink (see the file comment).  Sinks must not
+  /// mutate the store; they record what changed for a later pass.
+  using Sink = std::function<void(const T&)>;
 
   explicit Store(sim::EventLoop& loop, const K8sParams& params)
       : loop_(loop), params_(params) {}
@@ -45,43 +136,65 @@ class Store {
     if (obj.meta.name.empty()) {
       return Result<Uid>(invalid_argument("metadata.name required"));
     }
-    if (find_by_name(obj.meta.ns, obj.meta.name) != nullptr) {
+    auto& names = names_[obj.meta.ns];
+    if (names.contains(obj.meta.name)) {
       return Result<Uid>(already_exists(obj.meta.ns + "/" + obj.meta.name));
     }
     obj.meta.uid = uid;
     obj.meta.creation_vt = now;
     obj.meta.resource_version = ++rv_;
     auto [it, ok] = objects_.emplace(uid, std::move(obj));
+    names.emplace(it->second.meta.name, uid);
+    indexes_.insert(it->second);
+    changed(it->second);
     notify(WatchEventType::kAdded, it->second);
     return uid;
   }
 
   Result<T> get(Uid uid) const {
-    const auto it = objects_.find(uid);
-    if (it == objects_.end()) return Result<T>(not_found("no such object"));
-    return it->second;
-  }
-
-  Result<T> get_by_name(const std::string& ns, const std::string& name) const {
-    const T* obj = find_by_name(ns, name);
-    if (obj == nullptr) return Result<T>(not_found(ns + "/" + name));
+    const T* obj = find(uid);
+    if (obj == nullptr) return Result<T>(not_found("no such object"));
     return *obj;
   }
 
-  /// Last-write-wins update keyed by uid.  Deleted objects reject writes.
+  /// Copy-free read; the pointer is invalidated by the next mutation.
+  [[nodiscard]] const T* find(Uid uid) const {
+    const auto it = objects_.find(uid);
+    return it == objects_.end() ? nullptr : &it->second;
+  }
+
+  Result<T> get_by_name(const std::string& ns, const std::string& name) const {
+    const auto nit = names_.find(ns);
+    if (nit != names_.end()) {
+      const auto it = nit->second.find(name);
+      if (it != nit->second.end()) return objects_.at(it->second);
+    }
+    return Result<T>(not_found(ns + "/" + name));
+  }
+
+  /// Last-write-wins update keyed by uid.  Deleted objects reject writes,
+  /// and so do writes that change the object's identity (name, namespace,
+  /// owner), which are fixed at creation.
   Status update(const T& obj) {
     const auto it = objects_.find(obj.meta.uid);
     if (it == objects_.end()) return not_found("no such object");
-    const auto preserved_finalizers = it->second.meta.finalizers;
+    if (obj.meta.name != it->second.meta.name ||
+        obj.meta.ns != it->second.meta.ns ||
+        obj.meta.owner_uid != it->second.meta.owner_uid) {
+      return invalid_argument("name, namespace and owner are immutable");
+    }
+    indexes_.update(it->second, obj);
+    auto preserved_finalizers = std::move(it->second.meta.finalizers);
     const bool preserved_deletion = it->second.meta.deletion_requested;
     const SimTime preserved_deletion_vt = it->second.meta.deletion_vt;
     it->second = obj;
     // Deletion state and finalizers are owned by the server (clients use
     // the dedicated verbs below), so status updates cannot resurrect.
-    it->second.meta.finalizers = preserved_finalizers;
+    it->second.meta.finalizers = std::move(preserved_finalizers);
     it->second.meta.deletion_requested = preserved_deletion;
     it->second.meta.deletion_vt = preserved_deletion_vt;
     it->second.meta.resource_version = ++rv_;
+    changed(it->second);
     notify(WatchEventType::kModified, it->second);
     return Status::ok();
   }
@@ -92,6 +205,7 @@ class Store {
     if (!it->second.meta.has_finalizer(f)) {
       it->second.meta.finalizers.push_back(f);
       it->second.meta.resource_version = ++rv_;
+      changed(it->second);
       notify(WatchEventType::kModified, it->second);
     }
     return Status::ok();
@@ -105,6 +219,7 @@ class Store {
       if (*fit == f) {
         fins.erase(fit);
         it->second.meta.resource_version = ++rv_;
+        changed(it->second);
         maybe_reap(it->first);
         return Status::ok();
       }
@@ -119,6 +234,7 @@ class Store {
       it->second.meta.deletion_requested = true;
       it->second.meta.deletion_vt = now;
       it->second.meta.resource_version = ++rv_;
+      changed(it->second);
       notify(WatchEventType::kModified, it->second);
     }
     maybe_reap(uid);
@@ -141,6 +257,15 @@ class Store {
     for (const auto& [uid, obj] : objects_) fn(obj);
   }
 
+  /// Copy-free iteration, in uid order, over the objects whose uids are
+  /// `uids` (an index bucket); same rules as visit().
+  void visit_uids(const std::set<Uid>& uids,
+                  const std::function<void(const T&)>& fn) const {
+    for (const Uid uid : uids) fn(objects_.at(uid));
+  }
+
+  [[nodiscard]] const Indexes<T>& indexes() const { return indexes_; }
+
   [[nodiscard]] std::size_t size() const { return objects_.size(); }
 
   SubId subscribe(Watcher w, SubId id) {
@@ -149,23 +274,31 @@ class Store {
   }
   void unsubscribe(SubId id) { watchers_.erase(id); }
 
- private:
-  const T* find_by_name(const std::string& ns, const std::string& name) const {
-    for (const auto& [uid, obj] : objects_) {
-      if (obj.meta.ns == ns && obj.meta.name == name) return &obj;
-    }
-    return nullptr;
+  SubId add_sink(Sink s, SubId id) {
+    sinks_.emplace(id, std::move(s));
+    return id;
   }
+  void remove_sink(SubId id) { sinks_.erase(id); }
 
+ private:
   void maybe_reap(Uid uid) {
     const auto it = objects_.find(uid);
     if (it == objects_.end()) return;
     if (it->second.meta.deletion_requested &&
         it->second.meta.finalizers.empty()) {
-      T snapshot = it->second;
+      T snapshot = std::move(it->second);
       objects_.erase(it);
+      const auto nit = names_.find(snapshot.meta.ns);
+      nit->second.erase(snapshot.meta.name);
+      if (nit->second.empty()) names_.erase(nit);
+      indexes_.erase(snapshot);
+      changed(snapshot);
       notify(WatchEventType::kDeleted, snapshot);
     }
+  }
+
+  void changed(const T& obj) {
+    for (const auto& [id, sink] : sinks_) sink(obj);
   }
 
   void notify(WatchEventType type, const T& obj) {
@@ -182,7 +315,12 @@ class Store {
   sim::EventLoop& loop_;
   const K8sParams& params_;
   std::map<Uid, T> objects_;  // ordered: deterministic list()
+  /// namespace -> name -> uid.
+  std::unordered_map<std::string, std::unordered_map<std::string, Uid>>
+      names_;
+  Indexes<T> indexes_;
   std::map<SubId, Watcher> watchers_;
+  std::map<SubId, Sink> sinks_;
   std::uint64_t rv_ = 0;
 };
 
@@ -195,7 +333,17 @@ class ApiServer {
  public:
   explicit ApiServer(sim::EventLoop& loop, K8sParams params = {})
       : loop_(loop), params_(params), pods_(loop, params_),
-        jobs_(loop, params_), vnis_(loop, params_), claims_(loop, params_) {}
+        jobs_(loop, params_), vnis_(loop, params_), claims_(loop, params_) {
+    pods_.add_sink(
+        [this](const Pod& p) {
+          const auto it = node_sinks_.find(p.status.node);
+          if (it == node_sinks_.end()) return;
+          for (const auto& [id, sink] : it->second) sink(p);
+        },
+        next_sub_++);
+  }
+  ApiServer(const ApiServer&) = delete;
+  ApiServer& operator=(const ApiServer&) = delete;
 
   [[nodiscard]] sim::EventLoop& loop() noexcept { return loop_; }
   [[nodiscard]] const K8sParams& params() const noexcept { return params_; }
@@ -205,6 +353,7 @@ class ApiServer {
     return pods_.create(std::move(pod), next_uid_++, loop_.now());
   }
   Result<Pod> get_pod(Uid uid) const { return pods_.get(uid); }
+  [[nodiscard]] const Pod* find_pod(Uid uid) const { return pods_.find(uid); }
   Result<Pod> get_pod_by_name(const std::string& ns,
                               const std::string& name) const {
     return pods_.get_by_name(ns, name);
@@ -224,6 +373,16 @@ class ApiServer {
   void visit_pods(const std::function<void(const Pod&)>& fn) const {
     pods_.visit(fn);
   }
+  /// Pods whose owner is `owner`, in uid order (index lookup).
+  void visit_pods_of_owner(Uid owner,
+                           const std::function<void(const Pod&)>& fn) const {
+    pods_.visit_uids(pods_.indexes().by_owner.at(owner), fn);
+  }
+  /// Pods bound to `node` ("" = unbound), in uid order (index lookup).
+  void visit_pods_on_node(const std::string& node,
+                          const std::function<void(const Pod&)>& fn) const {
+    pods_.visit_uids(pods_.indexes().by_node.at(node), fn);
+  }
   SubId watch_pods(detail::Store<Pod>::Watcher w) {
     return pods_.subscribe(std::move(w), next_sub_++);
   }
@@ -234,6 +393,7 @@ class ApiServer {
     return jobs_.create(std::move(job), next_uid_++, loop_.now());
   }
   Result<Job> get_job(Uid uid) const { return jobs_.get(uid); }
+  [[nodiscard]] const Job* find_job(Uid uid) const { return jobs_.find(uid); }
   Result<Job> get_job_by_name(const std::string& ns,
                               const std::string& name) const {
     return jobs_.get_by_name(ns, name);
@@ -277,6 +437,12 @@ class ApiServer {
       const std::function<bool(const VniObject&)>& pred = nullptr) const {
     return vnis_.list(pred);
   }
+  /// VNI objects decorating the resource `bound_uid`, in uid order
+  /// (index lookup).
+  void visit_vni_objects_of(
+      Uid bound_uid, const std::function<void(const VniObject&)>& fn) const {
+    vnis_.visit_uids(vnis_.indexes().by_bound.at(bound_uid), fn);
+  }
   SubId watch_vni_objects(detail::Store<VniObject>::Watcher w) {
     return vnis_.subscribe(std::move(w), next_sub_++);
   }
@@ -286,6 +452,9 @@ class ApiServer {
     return claims_.create(std::move(c), next_uid_++, loop_.now());
   }
   Result<VniClaim> get_vni_claim(Uid uid) const { return claims_.get(uid); }
+  [[nodiscard]] const VniClaim* find_vni_claim(Uid uid) const {
+    return claims_.find(uid);
+  }
   Result<VniClaim> get_vni_claim_by_name(const std::string& ns,
                                          const std::string& name) const {
     return claims_.get_by_name(ns, name);
@@ -312,6 +481,43 @@ class ApiServer {
     return claims_.subscribe(std::move(w), next_sub_++);
   }
 
+  // -- Change sinks (see the file comment).  One id space with watches;
+  //    remove_change_sink takes any id returned below.
+  SubId on_pod_change(detail::Store<Pod>::Sink s) {
+    return pods_.add_sink(std::move(s), next_sub_++);
+  }
+  /// Changes to pods whose new state is bound to `node` (a kubelet's
+  /// view: only its own pods, however many nodes the cluster has).
+  SubId on_node_pod_change(const std::string& node,
+                           detail::Store<Pod>::Sink s) {
+    const SubId id = next_sub_++;
+    node_sinks_[node].emplace(id, std::move(s));
+    sink_node_.emplace(id, node);
+    return id;
+  }
+  SubId on_job_change(detail::Store<Job>::Sink s) {
+    return jobs_.add_sink(std::move(s), next_sub_++);
+  }
+  SubId on_vni_object_change(detail::Store<VniObject>::Sink s) {
+    return vnis_.add_sink(std::move(s), next_sub_++);
+  }
+  SubId on_vni_claim_change(detail::Store<VniClaim>::Sink s) {
+    return claims_.add_sink(std::move(s), next_sub_++);
+  }
+  void remove_change_sink(SubId id) {
+    if (const auto it = sink_node_.find(id); it != sink_node_.end()) {
+      const auto nit = node_sinks_.find(it->second);
+      nit->second.erase(id);
+      if (nit->second.empty()) node_sinks_.erase(nit);
+      sink_node_.erase(it);
+      return;
+    }
+    pods_.remove_sink(id);
+    jobs_.remove_sink(id);
+    vnis_.remove_sink(id);
+    claims_.remove_sink(id);
+  }
+
  private:
   sim::EventLoop& loop_;
   K8sParams params_;
@@ -321,6 +527,10 @@ class ApiServer {
   detail::Store<Job> jobs_;
   detail::Store<VniObject> vnis_;
   detail::Store<VniClaim> claims_;
+  /// on_node_pod_change subscriptions: node -> id -> sink, and id -> node.
+  std::unordered_map<std::string, std::map<SubId, detail::Store<Pod>::Sink>>
+      node_sinks_;
+  std::unordered_map<SubId, std::string> sink_node_;
 };
 
 }  // namespace shs::k8s

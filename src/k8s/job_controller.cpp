@@ -1,8 +1,10 @@
 #include "k8s/job_controller.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -12,27 +14,41 @@ namespace shs::k8s {
 namespace {
 constexpr const char* kTag = "job-ctrl";
 
-/// Per-job pod aggregate, built in one pass over all pods so a reconcile
-/// costs O(pods + jobs), not O(pods * jobs) — the spike test (Fig 11)
-/// runs 500 jobs at once.
-struct PodRollup {
-  int active = 0;
-  int succeeded = 0;
-  int failed = 0;
-  SimTime first_running = 0;
-  SimTime last_finish = 0;
-  bool any_pod = false;
-  std::vector<Uid> undeleted;  ///< pods without a deletion timestamp
-  /// Names of every live pod object (deleting ones included, so a
-  /// replacement is never created while its predecessor still exists).
-  std::unordered_set<std::string> names;
-};
+/// The index `i` of a pod named "<job>-<i>" (i in canonical decimal, as
+/// create_pod_at names it), or -1 for any other name.
+long long pod_index(const std::string& pod, const std::string& job) {
+  if (pod.size() <= job.size() + 1 || pod.compare(0, job.size(), job) != 0 ||
+      pod[job.size()] != '-') {
+    return -1;
+  }
+  const char* first = pod.data() + job.size() + 1;
+  const char* last = pod.data() + pod.size();
+  if (*first == '0' && last - first > 1) return -1;  // leading zero
+  unsigned long long i = 0;
+  const auto [ptr, ec] = std::from_chars(first, last, i);
+  if (ec != std::errc() || ptr != last ||
+      i > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
+    return -1;
+  }
+  return static_cast<long long>(i);
+}
 }  // namespace
 
 JobController::JobController(ApiServer& api, Rng rng)
-    : api_(api), rng_(rng) {}
+    : api_(api), rng_(rng) {
+  job_sink_ = api_.on_job_change(
+      [this](const Job& j) { dirty_.insert(j.meta.uid); });
+  pod_sink_ = api_.on_pod_change([this](const Pod& p) {
+    if (p.meta.owner_uid != kNoUid) dirty_.insert(p.meta.owner_uid);
+  });
+  mark_all_dirty();
+}
 
-JobController::~JobController() { stop(); }
+JobController::~JobController() {
+  stop();
+  api_.remove_change_sink(job_sink_);
+  api_.remove_change_sink(pod_sink_);
+}
 
 void JobController::start() {
   if (task_ != sim::EventLoop::kInvalidTask) return;
@@ -47,6 +63,10 @@ void JobController::stop() {
   }
 }
 
+void JobController::mark_all_dirty() {
+  api_.visit_jobs([&](const Job& job) { dirty_.insert(job.meta.uid); });
+}
+
 void JobController::restart_from_api() {
   stop();
   ++incarnation_;
@@ -54,6 +74,7 @@ void JobController::restart_from_api() {
   ttl_deleted_.clear();
   seen_indices_.clear();
   replacements_in_flight_.clear();
+  mark_all_dirty();
   // Rebuild level-triggered from the store.  The finalizer is written
   // synchronously before the first pod create is scheduled, so it is the
   // durable "creation began" marker; a job without it reconciles as new.
@@ -76,84 +97,96 @@ void JobController::restart_from_api() {
 }
 
 void JobController::reconcile() {
-  // Pass 1: aggregate pods by owning job.
-  std::unordered_map<Uid, PodRollup> rollup;
-  api_.visit_pods([&](const Pod& p) {
-    if (p.meta.owner_uid == kNoUid) return;
-    PodRollup& r = rollup[p.meta.owner_uid];
-    r.any_pod = true;
-    r.names.insert(p.meta.name);
-    if (!p.meta.deletion_requested) r.undeleted.push_back(p.meta.uid);
-    switch (p.status.phase) {
-      case PodPhase::kRunning:
-        ++r.active;
-        break;
-      case PodPhase::kSucceeded:
-        ++r.succeeded;
-        break;
-      case PodPhase::kFailed:
-        ++r.failed;
-        break;
-      default:
-        ++r.active;  // pending/creating pods count as active work
-        break;
-    }
-    if (p.status.running_vt > 0 &&
-        (r.first_running == 0 || p.status.running_vt < r.first_running)) {
-      r.first_running = p.status.running_vt;
-    }
-    if (p.status.finished_vt > r.last_finish) {
-      r.last_finish = p.status.finished_vt;
-    }
-  });
-
-  // Pass 2: collect actions (no store mutation while visiting).
+  // Pass 1: evaluate the dirty jobs in uid order and collect actions (no
+  // store mutation while reading).  Anything that changes here or below
+  // lands in the fresh dirty set for the next tick.
+  const std::set<Uid> dirty = std::exchange(dirty_, {});
   struct StatusUpdate {
     Uid uid;
     JobStatus status;
+  };
+  struct Deleting {
+    Uid uid = kNoUid;
+    bool any_pod = false;
+    std::vector<Uid> undeleted;  ///< pods without a deletion timestamp
   };
   std::vector<StatusUpdate> updates;
   std::vector<Uid> to_create;
   std::vector<std::pair<Uid, int>> to_replace;  ///< (job, pod index)
   std::vector<Uid> to_ttl_delete;
-  std::vector<Uid> deleting;
+  std::vector<Deleting> deleting;
 
-  api_.visit_jobs([&](const Job& job) {
-    const Uid uid = job.meta.uid;
-    if (job.meta.deletion_requested) {
-      if (job.meta.has_finalizer(kJobFinalizer)) deleting.push_back(uid);
-      return;
+  for (const Uid uid : dirty) {
+    const Job* job = api_.find_job(uid);
+    if (job == nullptr) continue;
+    if (job->meta.deletion_requested) {
+      if (!job->meta.has_finalizer(kJobFinalizer)) continue;
+      Deleting d{uid};
+      api_.visit_pods_of_owner(uid, [&](const Pod& p) {
+        d.any_pod = true;
+        if (!p.meta.deletion_requested) d.undeleted.push_back(p.meta.uid);
+      });
+      deleting.push_back(std::move(d));
+      continue;
     }
     if (!pods_created_.contains(uid)) {
       to_create.push_back(uid);
-      return;
+      continue;
     }
-    const auto rit = rollup.find(uid);
-    static const PodRollup kEmpty{};
-    const PodRollup& r = rit == rollup.end() ? kEmpty : rit->second;
 
-    JobStatus status = job.status;
-    status.active = r.active;
-    status.succeeded = r.succeeded;
-    status.failed = r.failed;
-    if (r.first_running > 0 && status.start_vt == 0) {
-      status.start_vt = r.first_running;
+    // Aggregate this job's pods, and note which indices exist as pod
+    // objects (deleting ones included, so a replacement is never created
+    // while its predecessor still exists).
+    const int expected =
+        std::max(job->spec.completions, job->spec.parallelism);
+    std::vector<bool> present(static_cast<std::size_t>(std::max(expected, 0)));
+    int active = 0, succeeded = 0, failed = 0;
+    SimTime first_running = 0, last_finish = 0;
+    api_.visit_pods_of_owner(uid, [&](const Pod& p) {
+      const long long index = pod_index(p.meta.name, job->meta.name);
+      if (index >= 0 && index < expected) {
+        present[static_cast<std::size_t>(index)] = true;
+      }
+      switch (p.status.phase) {
+        case PodPhase::kSucceeded:
+          ++succeeded;
+          break;
+        case PodPhase::kFailed:
+          ++failed;
+          break;
+        default:
+          ++active;  // pending/creating pods count as active work
+          break;
+      }
+      if (p.status.running_vt > 0 &&
+          (first_running == 0 || p.status.running_vt < first_running)) {
+        first_running = p.status.running_vt;
+      }
+      last_finish = std::max(last_finish, p.status.finished_vt);
+    });
+
+    JobStatus status = job->status;
+    status.active = active;
+    status.succeeded = succeeded;
+    status.failed = failed;
+    if (first_running > 0 && status.start_vt == 0) {
+      status.start_vt = first_running;
     }
-    if (!status.complete && status.succeeded >= job.spec.completions) {
+    if (!status.complete && status.succeeded >= job->spec.completions) {
       status.complete = true;
       status.completion_vt =
-          r.last_finish > 0 ? r.last_finish : api_.loop().now();
-      SHS_DEBUG(kTag) << "job " << job.meta.name << " complete at "
+          last_finish > 0 ? last_finish : api_.loop().now();
+      SHS_DEBUG(kTag) << "job " << job->meta.name << " complete at "
                       << to_seconds(status.completion_vt) << "s";
     }
-    if (status.active != job.status.active ||
-        status.succeeded != job.status.succeeded ||
-        status.failed != job.status.failed ||
-        status.complete != job.status.complete ||
-        status.start_vt != job.status.start_vt) {
+    if (status.active != job->status.active ||
+        status.succeeded != job->status.succeeded ||
+        status.failed != job->status.failed ||
+        status.complete != job->status.complete ||
+        status.start_vt != job->status.start_vt) {
       updates.push_back({uid, status});
     }
-    if (status.complete && job.spec.ttl_after_finished_s >= 0 &&
+    if (status.complete && job->spec.ttl_after_finished_s >= 0 &&
         !ttl_deleted_.contains(uid)) {
       to_ttl_delete.push_back(uid);
     }
@@ -163,23 +196,22 @@ void JobController::reconcile() {
     // dead-switch eviction — so every index that has ever been seen
     // alive but is missing now gets a fresh pod (which then schedules
     // onto a healthy switch).
-    const int expected = std::max(job.spec.completions,
-                                  job.spec.parallelism);
     auto& seen = seen_indices_[uid];
     for (int i = 0; i < expected; ++i) {
-      if (r.names.contains(strfmt("%s-%d", job.meta.name.c_str(), i))) {
-        seen.insert(i);
+      if (present[static_cast<std::size_t>(i)]) {
         // The replacement (or original) exists; the index may be
         // replaced anew if it vanishes again later.
-        replacements_in_flight_.erase({uid, i});
+        const bool newly_seen = seen.insert(i).second;
+        const bool landed = replacements_in_flight_.erase({uid, i}) > 0;
+        if (newly_seen || landed) dirty_.insert(uid);
       } else if (!status.complete && seen.contains(i) &&
                  !replacements_in_flight_.contains({uid, i})) {
         to_replace.emplace_back(uid, i);
       }
     }
-  });
+  }
 
-  // Pass 3: apply.
+  // Pass 2: apply.
   for (const auto& u : updates) {
     auto job = api_.get_job(u.uid);
     if (!job.is_ok()) continue;
@@ -189,6 +221,7 @@ void JobController::reconcile() {
   }
   for (const Uid uid : to_create) {
     pods_created_.insert(uid);
+    dirty_.insert(uid);
     (void)api_.add_job_finalizer(uid, kJobFinalizer);
     const std::uint64_t gen = incarnation_;
     api_.loop().schedule_after(
@@ -205,6 +238,7 @@ void JobController::reconcile() {
     if (!job.is_ok() || job.value().meta.deletion_requested) continue;
     ++pods_replaced_;
     replacements_in_flight_.insert(to_replace[i]);
+    dirty_.insert(to_replace[i].first);
     create_pod_at(job.value(), to_replace[i].second,
                   static_cast<int>(i) + 1);
     SHS_DEBUG(kTag) << "replacing evicted pod " << to_replace[i].second
@@ -212,6 +246,7 @@ void JobController::reconcile() {
   }
   for (const Uid uid : to_ttl_delete) {
     ttl_deleted_.insert(uid);
+    dirty_.insert(uid);
     auto job = api_.get_job(uid);
     if (!job.is_ok()) continue;
     const std::uint64_t gen = incarnation_;
@@ -222,21 +257,21 @@ void JobController::reconcile() {
           (void)api_.delete_job(uid);
         });
   }
-  for (const Uid uid : deleting) {
-    const auto rit = rollup.find(uid);
-    if (rit == rollup.end() || !rit->second.any_pod) {
+  for (const Deleting& d : deleting) {
+    if (!d.any_pod) {
       // No pods left: release the job.
-      (void)api_.remove_job_finalizer(uid, kJobFinalizer);
-      pods_created_.erase(uid);
-      ttl_deleted_.erase(uid);
-      seen_indices_.erase(uid);
+      (void)api_.remove_job_finalizer(d.uid, kJobFinalizer);
+      pods_created_.erase(d.uid);
+      ttl_deleted_.erase(d.uid);
+      seen_indices_.erase(d.uid);
       replacements_in_flight_.erase(
-          replacements_in_flight_.lower_bound({uid, 0}),
+          replacements_in_flight_.lower_bound({d.uid, 0}),
           replacements_in_flight_.upper_bound(
-              {uid, std::numeric_limits<int>::max()}));
+              {d.uid, std::numeric_limits<int>::max()}));
+      dirty_.insert(d.uid);
       continue;
     }
-    for (const Uid pod_uid : rit->second.undeleted) {
+    for (const Uid pod_uid : d.undeleted) {
       (void)api_.delete_pod(pod_uid);
     }
   }

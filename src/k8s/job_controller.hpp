@@ -1,6 +1,13 @@
 // job_controller.hpp — creates pods for Jobs, tracks completion, cascades
 // deletion, and implements ttlSecondsAfterFinished=0 ("Jobs are configured
 // to be deleted immediately after completion", Section IV-B).
+//
+// Change-driven: each periodic tick re-evaluates only the jobs marked
+// dirty since the last one — a job whose object or whose pods changed
+// (the API server's change sink), or whose controller-local state
+// (tracked, TTL-issued, seen indices, replacements in flight) changed.
+// A job that is not dirty would evaluate exactly as it did last time,
+// which produced no action, so skipping it changes nothing.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +62,9 @@ class JobController {
   /// (Re)creates the single pod with index `index` for `job` after the
   /// usual per-pod API cost.
   void create_pod_at(const Job& job, int index, int stagger);
+  /// Marks every job dirty: the initial list at construction and the
+  /// relist after a restart (the only full walk).
+  void mark_all_dirty();
   SimDuration jittered(SimDuration d) {
     return static_cast<SimDuration>(
         static_cast<double>(d) * rng_.jitter(api_.params().jitter_amplitude));
@@ -63,6 +73,10 @@ class JobController {
   ApiServer& api_;
   Rng rng_;
   sim::EventLoop::TaskId task_ = sim::EventLoop::kInvalidTask;
+  SubId job_sink_ = 0;
+  SubId pod_sink_ = 0;
+  /// Jobs to re-evaluate on the next tick, in uid order.
+  std::set<Uid> dirty_;
   /// Bumped by restart_from_api(); callbacks scheduled by an older
   /// incarnation check it and bail.
   std::uint64_t incarnation_ = 0;

@@ -1,6 +1,7 @@
 #include "k8s/kubelet.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "k8s/scheduler.hpp"  // kKubeletFinalizer
 #include "util/log.hpp"
@@ -13,9 +14,17 @@ constexpr const char* kTag = "kubelet";
 
 Kubelet::Kubelet(ApiServer& api, std::string node, PodRuntime& runtime,
                  Rng rng)
-    : api_(api), node_(std::move(node)), runtime_(runtime), rng_(rng) {}
+    : api_(api), node_(std::move(node)), runtime_(runtime), rng_(rng) {
+  pod_sink_ = api_.on_node_pod_change(
+      node_, [this](const Pod& p) { dirty_.insert(p.meta.uid); });
+  api_.visit_pods_on_node(
+      node_, [this](const Pod& p) { dirty_.insert(p.meta.uid); });
+}
 
-Kubelet::~Kubelet() { stop(); }
+Kubelet::~Kubelet() {
+  stop();
+  api_.remove_change_sink(pod_sink_);
+}
 
 void Kubelet::start() {
   if (task_ != sim::EventLoop::kInvalidTask) return;
@@ -31,24 +40,22 @@ void Kubelet::stop() {
 }
 
 void Kubelet::sync() {
-  // Copy-free scan: only uids are collected (the spike test watches 500
-  // pods per node through this loop).
-  api_.visit_pods([&](const Pod& p) {
-    if (p.status.node != node_) return;
-    const Uid uid = p.meta.uid;
-    if (p.meta.deletion_requested) {
+  for (const Uid uid : std::exchange(dirty_, {})) {
+    const Pod* p = api_.find_pod(uid);
+    if (p == nullptr || p->status.node != node_) continue;
+    if (p->meta.deletion_requested) {
       if (!torn_down_.contains(uid) && !queued_or_active_.contains(uid)) {
         queued_or_active_.insert(uid);
         teardown_queue_.push_back(uid);
       }
-      return;
+      continue;
     }
-    if (p.status.phase == PodPhase::kScheduled &&
+    if (p->status.phase == PodPhase::kScheduled &&
         !queued_or_active_.contains(uid)) {
       queued_or_active_.insert(uid);
       create_queue_.push_back(uid);
     }
-  });
+  }
   pump();
 }
 
@@ -75,12 +82,14 @@ void Kubelet::stage(SimDuration cost, std::function<void()> next) {
 
 void Kubelet::finish_create_op(Uid uid) {
   queued_or_active_.erase(uid);
+  dirty_.insert(uid);  // it may be due for (re)queueing
   --create_active_;
   pump();
 }
 
 void Kubelet::finish_teardown_op(Uid uid) {
   queued_or_active_.erase(uid);
+  dirty_.insert(uid);
   --teardown_active_;
   pump();
 }

@@ -10,9 +10,14 @@
 // min(spec.termination_grace_s, 30) seconds before the container is
 // stopped, the bound the CXI CNI plugin relies on for the 30 s VNI
 // quarantine (Section III-C1).
+//
+// Change-driven: each sync looks only at the pods bound to this node that
+// changed since the last one (the API server's per-node change sink), or
+// that left the kubelet's own queues.
 #pragma once
 
 #include <deque>
+#include <set>
 #include <functional>
 #include <memory>
 #include <string>
@@ -69,6 +74,9 @@ class Kubelet {
   PodRuntime& runtime_;
   Rng rng_;
   sim::EventLoop::TaskId task_ = sim::EventLoop::kInvalidTask;
+  SubId pod_sink_ = 0;
+  /// Pods to look at on the next sync, in uid order.
+  std::set<Uid> dirty_;
 
   /// Separate FIFO pools, as the real kubelet runs pod creation and pod
   /// killing on distinct worker sets.  Creation workers bound admission

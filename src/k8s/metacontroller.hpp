@@ -7,10 +7,15 @@
 // applies the returned child objects (VNI CRD instances) with "apply
 // semantics".  This class is that backend; the webhook *logic* lives in
 // core::VniEndpoint and is injected here as hooks.
+//
+// Change-driven: a tick re-evaluates only the jobs and claims marked
+// dirty since the last one — their object changed (the API server's
+// change sink) or a webhook call for them finished (succeeded, or failed
+// and is retried on the next tick).
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <set>
 #include <unordered_set>
 
 #include "k8s/api_server.hpp"
@@ -56,6 +61,8 @@ class DecoratorController {
   void reconcile_job(Uid uid, bool deleting, bool has_finalizer);
   void reconcile_claim(Uid uid, bool deleting, bool has_finalizer);
   void apply_children(Uid parent_uid, const std::vector<VniObject>& desired);
+  /// Deletes every child VNI CRD instance of `parent_uid`.
+  void delete_children(Uid parent_uid);
   SimDuration jittered(SimDuration d) {
     return static_cast<SimDuration>(
         static_cast<double>(d) * rng_.jitter(api_.params().jitter_amplitude));
@@ -65,6 +72,11 @@ class DecoratorController {
   Hooks hooks_;
   Rng rng_;
   sim::EventLoop::TaskId task_ = sim::EventLoop::kInvalidTask;
+  SubId job_sink_ = 0;
+  SubId claim_sink_ = 0;
+  /// Jobs and claims to re-evaluate on the next tick, in uid order.
+  std::set<Uid> dirty_jobs_;
+  std::set<Uid> dirty_claims_;
   std::unordered_set<Uid> sync_inflight_;
   std::unordered_set<Uid> synced_;
   std::unordered_set<Uid> finalize_inflight_;

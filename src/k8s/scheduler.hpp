@@ -8,10 +8,19 @@
 // several switches — preferentially on nodes attached to a switch that
 // already hosts members of the same group, so tightly coupled ranks stay
 // one hop apart; everything else balances by bound-pod count.
+//
+// Change-driven: the load view (bound pods per node, spread-group members
+// per node and per switch) and the pending queue are kept up to date from
+// the pods that changed since the last cycle (the API server's change
+// sink) and from the scheduler's own in-flight binds, so a cycle costs
+// O(changes + quota * nodes), not O(pods).  Switch health is polled once
+// per switch per cycle; a switch that went unhealthy since the last cycle
+// gets its nodes' pods (an index lookup) checked for draining.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -113,6 +122,16 @@ class Scheduler {
   /// Takes the drained pods off their dead-switch nodes (see
   /// set_switch_health_probe).
   void drain(const std::vector<Uid>& uids);
+  /// Marks every pod dirty and empties the load view: the initial list
+  /// at construction and the relist after a restart (the only full walk).
+  void relist();
+  /// Re-reads the dirty pods into the pending queue and the load view.
+  /// Returns the bound dirty pods (drain candidates).
+  std::set<Uid> refresh();
+  /// Adds (`delta` = +1) or removes (-1) one pod placed on `node` in
+  /// spread group `spread_key` from the load view.
+  void count_load(const std::string& node, const std::string& spread_key,
+                  int delta);
 
   /// A bind decision whose deferred API write has not landed yet.  The
   /// node/group are remembered so later cycles see the decision in their
@@ -122,6 +141,12 @@ class Scheduler {
     std::string node;
     std::string spread_key;
   };
+  /// One spread group's members in the load view.
+  struct SpreadGroup {
+    int members = 0;
+    std::unordered_map<std::size_t, int> per_slot;  ///< node slot -> count
+    std::unordered_map<std::uint32_t, int> per_switch;
+  };
 
   ApiServer& api_;
   std::vector<std::string> nodes_;
@@ -130,12 +155,30 @@ class Scheduler {
   /// switch_of(nodes_[i]), precomputed in the constructor so the scoring
   /// loop never does a by-name map lookup.
   std::vector<std::uint32_t> node_switch_ids_;
+  /// Node name -> load slot (one per distinct name in nodes_), and the
+  /// slot of each nodes_[i].
+  std::unordered_map<std::string, std::size_t> slot_of_;
+  std::vector<std::size_t> node_slot_;
+  /// Every switch in node_switch_ with the nodes behind it.
+  std::unordered_map<std::uint32_t, std::vector<std::string>> switch_nodes_;
   sim::EventLoop::TaskId task_ = sim::EventLoop::kInvalidTask;
   /// Bumped by restart_from_api(); deferred API writes scheduled by an
   /// older incarnation check it and bail (the crashed process's
   /// in-flight RPCs die with it).
   std::uint64_t incarnation_ = 0;
   std::unordered_map<Uid, InFlightBind> in_flight_;
+  SubId pod_sink_ = 0;
+  /// Pods to re-read on the next cycle, in uid order.
+  std::set<Uid> dirty_;
+  /// Unbound, undeleted Pending pods with no bind in flight, uid order.
+  std::set<Uid> pending_;
+  /// The load view: every bound pod (as last read) and in-flight bind,
+  /// counted per slot and per spread group.
+  std::unordered_map<Uid, InFlightBind> counted_;
+  std::vector<int> bound_;  ///< per slot
+  std::unordered_map<std::string, SpreadGroup> groups_;
+  /// Switches the previous cycle found unusable.
+  std::unordered_set<std::uint32_t> unusable_;
   CongestionProbe congestion_probe_;
   SwitchHealthProbe switch_health_probe_;
   BindTelemetry telemetry_;
