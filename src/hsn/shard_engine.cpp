@@ -221,7 +221,7 @@ ShardEngineStats ShardEngine::stats() const {
   s.windows = windows_run_;
   s.silent_barriers = silent_barriers_;
   s.chained_windows = chained_windows_;
-  s.worker_wakeups = worker_wakeups_;
+  s.worker_wakeups = worker_wakeups_.load(std::memory_order_relaxed);
   s.staging_trims = staging_trims_;
   for (const auto& d : domains_) {
     s.items_stepped += d.stats.items_stepped;
@@ -842,7 +842,7 @@ void ShardEngine::bump_go_and_wake() {
       std::lock_guard<std::mutex> lk(pool_mu_);
     }
     pool_cv_.notify_all();
-    ++worker_wakeups_;
+    worker_wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

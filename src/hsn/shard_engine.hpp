@@ -527,7 +527,10 @@ class ShardEngine {
   std::uint64_t flushes_ = 0;
   std::uint64_t silent_barriers_ = 0;
   std::uint64_t chained_windows_ = 0;
-  std::uint64_t worker_wakeups_ = 0;
+  /// Atomic, not driver-written: bump_go_and_wake() counts it after
+  /// publishing `go_`, when the next window's coordinator (a chaining
+  /// worker) may already be counting its own wakeup.
+  std::atomic<std::uint64_t> worker_wakeups_{0};
   std::uint64_t staging_trims_ = 0;
 
   // -- Worker pool.  Window-generation driven: `go_` names the window
