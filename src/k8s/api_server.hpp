@@ -498,9 +498,6 @@ class ApiServer {
   SubId on_job_change(detail::Store<Job>::Sink s) {
     return jobs_.add_sink(std::move(s), next_sub_++);
   }
-  SubId on_vni_object_change(detail::Store<VniObject>::Sink s) {
-    return vnis_.add_sink(std::move(s), next_sub_++);
-  }
   SubId on_vni_claim_change(detail::Store<VniClaim>::Sink s) {
     return claims_.add_sink(std::move(s), next_sub_++);
   }

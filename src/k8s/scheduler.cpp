@@ -126,7 +126,7 @@ std::set<Uid> Scheduler::refresh() {
       }
       continue;
     }
-    counted_.emplace(uid, InFlightBind{p->status.node, p->spec.spread_key});
+    counted_.emplace(uid, Placement{p->status.node, p->spec.spread_key});
     count_load(p->status.node, p->spec.spread_key, +1);
     bound_dirty.insert(uid);
   }
@@ -274,7 +274,7 @@ void Scheduler::cycle() {
 
     // Account this decision so later binds (this cycle and the next ones,
     // until the write lands) see it.
-    in_flight_.emplace(uid, InFlightBind{node, spread_key});
+    in_flight_.emplace(uid, Placement{node, spread_key});
     count_load(node, spread_key, +1);
     pit = pending_.erase(pit);
     ++issued;

@@ -133,11 +133,8 @@ class Scheduler {
   void count_load(const std::string& node, const std::string& spread_key,
                   int delta);
 
-  /// A bind decision whose deferred API write has not landed yet.  The
-  /// node/group are remembered so later cycles see the decision in their
-  /// load and same-switch accounting (the pod object still looks
-  /// unbound until the write fires).
-  struct InFlightBind {
+  /// Where the load view counts one pod: its node and spread group.
+  struct Placement {
     std::string node;
     std::string spread_key;
   };
@@ -166,18 +163,22 @@ class Scheduler {
   /// older incarnation check it and bail (the crashed process's
   /// in-flight RPCs die with it).
   std::uint64_t incarnation_ = 0;
-  std::unordered_map<Uid, InFlightBind> in_flight_;
+  /// Bind decisions whose deferred API write has not landed yet.  They
+  /// are in the load view so later cycles see them in their load and
+  /// same-switch accounting (the pod object still looks unbound until
+  /// the write fires).
+  std::unordered_map<Uid, Placement> in_flight_;
   SubId pod_sink_ = 0;
   /// Pods to re-read on the next cycle, in uid order.
   std::set<Uid> dirty_;
   /// Unbound, undeleted Pending pods with no bind in flight, uid order.
   std::set<Uid> pending_;
-  /// The load view: every bound pod (as last read) and in-flight bind,
-  /// counted per slot and per spread group.
-  std::unordered_map<Uid, InFlightBind> counted_;
+  /// The load view counts every bound pod (as last read; listed here)
+  /// and every in-flight bind, per node slot and per spread group.
+  std::unordered_map<Uid, Placement> counted_;
   std::vector<int> bound_;  ///< per slot
   std::unordered_map<std::string, SpreadGroup> groups_;
-  /// Switches the previous cycle found unusable.
+  /// Switches the latest cycle's health poll found unusable.
   std::unordered_set<std::uint32_t> unusable_;
   CongestionProbe congestion_probe_;
   SwitchHealthProbe switch_health_probe_;

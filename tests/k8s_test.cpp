@@ -3,7 +3,11 @@
 // kubelet with a fake runtime.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "k8s/api_server.hpp"
 #include "k8s/job_controller.hpp"
@@ -195,6 +199,219 @@ TEST(ApiServer, ResourceVersionBumps) {
   EXPECT_GT(api.get_pod(uid).value().meta.resource_version, v1);
 }
 
+TEST(ApiServer, IdentityFieldsAreImmutable) {
+  sim::EventLoop loop;
+  ApiServer api(loop);
+  Pod p;
+  p.meta.name = "id";
+  p.meta.owner_uid = 7;
+  const Uid uid = api.create_pod(p).value();
+  for (int field = 0; field < 3; ++field) {
+    Pod edit = api.get_pod(uid).value();
+    if (field == 0) edit.meta.name = "renamed";
+    if (field == 1) edit.meta.ns = "elsewhere";
+    if (field == 2) edit.meta.owner_uid = 8;
+    EXPECT_EQ(api.update_pod(edit).code(), Code::kInvalidArgument);
+  }
+  EXPECT_TRUE(api.get_pod_by_name("default", "id").is_ok());
+  EXPECT_FALSE(api.get_pod_by_name("default", "renamed").is_ok());
+}
+
+// -- Indexes and the change sink. ---------------------------------------------
+
+/// A randomized sequence of pod and VNI-object mutations.  After every
+/// operation each index must equal a brute-force recompute over a full
+/// scan, and the pod change sinks must have seen exactly the pods whose
+/// resourceVersion changed or that were reaped.
+class IndexProperty : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    api = std::make_unique<ApiServer>(loop);
+    api->on_pod_change([this](const Pod& p) { seen.insert(p.meta.uid); });
+    api->on_node_pod_change(
+        "n0", [this](const Pod& p) { seen_n0.insert(p.meta.uid); });
+  }
+
+  /// Every live pod's resourceVersion, by uid.
+  std::map<Uid, std::uint64_t> versions() const {
+    std::map<Uid, std::uint64_t> out;
+    api->visit_pods([&](const Pod& p) {
+      out[p.meta.uid] = p.meta.resource_version;
+    });
+    return out;
+  }
+
+  /// Last-known node of every pod (kept across reaps).
+  void note_nodes() {
+    api->visit_pods(
+        [&](const Pod& p) { last_node[p.meta.uid] = p.status.node; });
+  }
+
+  void expect_indexes_match() const {
+    std::map<Uid, std::vector<Uid>> by_owner;
+    std::map<std::string, std::vector<Uid>> by_node;
+    std::map<std::pair<std::string, std::string>, Uid> pod_names;
+    api->visit_pods([&](const Pod& p) {
+      by_owner[p.meta.owner_uid].push_back(p.meta.uid);
+      by_node[p.status.node].push_back(p.meta.uid);
+      pod_names.emplace(std::make_pair(p.meta.ns, p.meta.name), p.meta.uid);
+    });
+    std::map<Uid, std::vector<Uid>> by_bound;
+    for (const VniObject& v : api->list_vni_objects()) {
+      by_bound[v.bound_uid].push_back(v.meta.uid);
+    }
+    for (Uid key = 0; key < kKeys; ++key) {
+      std::vector<Uid> pods, vnis;
+      api->visit_pods_of_owner(
+          key, [&](const Pod& p) { pods.push_back(p.meta.uid); });
+      api->visit_vni_objects_of(
+          key, [&](const VniObject& v) { vnis.push_back(v.meta.uid); });
+      EXPECT_EQ(pods, by_owner[key]) << "owner " << key;
+      EXPECT_EQ(vnis, by_bound[key]) << "bound " << key;
+    }
+    for (const std::string& node : kNodes) {
+      std::vector<Uid> pods;
+      api->visit_pods_on_node(
+          node, [&](const Pod& p) { pods.push_back(p.meta.uid); });
+      EXPECT_EQ(pods, by_node[node]) << "node '" << node << "'";
+    }
+    for (const std::string& ns : kNamespaces) {
+      for (int n = 0; n < kNames; ++n) {
+        const std::string name = "o" + std::to_string(n);
+        const auto pod = api->get_pod_by_name(ns, name);
+        const auto pit = pod_names.find({ns, name});
+        ASSERT_EQ(pod.is_ok(), pit != pod_names.end()) << ns << "/" << name;
+        if (pod.is_ok()) {
+          EXPECT_EQ(pod.value().meta.uid, pit->second);
+        }
+      }
+    }
+  }
+
+  static constexpr Uid kKeys = 4;  ///< owner / bound uids 0..3
+  static constexpr int kNames = 6;
+  const std::vector<std::string> kNodes{"", "n0", "n1"};
+  const std::vector<std::string> kNamespaces{"default", "team"};
+
+  sim::EventLoop loop;
+  std::unique_ptr<ApiServer> api;
+  std::set<Uid> seen, seen_n0;
+  std::map<Uid, std::string> last_node;
+};
+
+TEST_F(IndexProperty, IndexesAndSinkTrackEveryMutation) {
+  Rng rng(0x1dec5);
+  std::vector<Uid> pods, vnis;  // every uid ever created, per kind
+  const std::vector<std::string> fins{"a", "b"};
+  int unreaped_removals = 0, reaps = 0, rejected = 0;
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(step);
+    const auto before = versions();
+    note_nodes();
+    seen.clear();
+    seen_n0.clear();
+    const bool pod_kind = rng.uniform_u64(3) != 0;
+    auto& uids = pod_kind ? pods : vnis;
+    const Uid target =
+        uids.empty() ? kNoUid : uids[rng.uniform_u64(uids.size())];
+    const std::string& fin = fins[rng.uniform_u64(fins.size())];
+    const auto op = uids.empty() ? 0 : rng.uniform_u64(6);
+    Status st = Status::ok();
+    if (op == 0) {  // create: succeeds exactly when the name is free
+      const std::string name = "o" + std::to_string(rng.uniform_u64(kNames));
+      const std::string& ns = kNamespaces[rng.uniform_u64(2)];
+      const auto same_name = [&](const ObjectMeta& m) {
+        return m.ns == ns && m.name == name;
+      };
+      Result<Uid> r = Uid{kNoUid};
+      bool taken = false;
+      if (pod_kind) {
+        taken = !api->list_pods([&](const Pod& p) {
+                       return same_name(p.meta);
+                     }).empty();
+        Pod p;
+        p.meta.name = name;
+        p.meta.ns = ns;
+        p.meta.owner_uid = rng.uniform_u64(kKeys);
+        p.status.node = kNodes[rng.uniform_u64(kNodes.size())];
+        r = api->create_pod(p);
+      } else {
+        taken = !api->list_vni_objects([&](const VniObject& v) {
+                       return same_name(v.meta);
+                     }).empty();
+        VniObject v;
+        v.meta.name = name;
+        v.meta.ns = ns;
+        v.bound_uid = rng.uniform_u64(kKeys);
+        r = api->create_vni_object(v);
+      }
+      EXPECT_EQ(r.is_ok(), !taken) << ns << "/" << name;
+      if (r.is_ok()) uids.push_back(r.value());
+    } else if (op == 1) {  // update: move an index key, maybe illegally
+      const bool illegal = rng.uniform_u64(8) == 0;
+      if (pod_kind) {
+        auto p = api->get_pod(target);
+        if (p.is_ok()) {
+          Pod edit = p.value();
+          edit.status.node = kNodes[rng.uniform_u64(kNodes.size())];
+          edit.status.phase = PodPhase::kRunning;
+          if (illegal) edit.meta.owner_uid = edit.meta.owner_uid + 1;
+          st = api->update_pod(edit);
+        }
+      } else {
+        auto v = api->get_vni_object(target);
+        if (v.is_ok()) {
+          VniObject edit = v.value();
+          edit.bound_uid = rng.uniform_u64(kKeys);
+          if (illegal) edit.meta.name += "x";
+          st = api->update_vni_object(edit);
+        }
+      }
+      if (illegal && !st.is_ok()) ++rejected;
+    } else if (op == 2) {
+      st = pod_kind ? api->add_pod_finalizer(target, fin)
+                    : api->add_vni_finalizer(target, fin);
+    } else if (op == 3) {
+      st = pod_kind ? api->remove_pod_finalizer(target, fin)
+                    : api->remove_vni_finalizer(target, fin);
+      if (st.is_ok() && pod_kind && api->get_pod(target).is_ok()) {
+        ++unreaped_removals;
+      }
+    } else {
+      st = pod_kind ? api->delete_pod(target) : api->delete_vni_object(target);
+    }
+    (void)st;
+
+    const auto after = versions();
+    std::set<Uid> changed, changed_n0;
+    for (const auto& [uid, rv] : after) {
+      const auto it = before.find(uid);
+      if (it == before.end() || it->second != rv) changed.insert(uid);
+    }
+    for (const auto& [uid, rv] : before) {
+      if (!after.contains(uid)) {
+        changed.insert(uid);
+        ++reaps;
+      }
+    }
+    note_nodes();
+    for (const Uid uid : changed) {
+      const auto it = last_node.find(uid);
+      if (it != last_node.end() && it->second == "n0") changed_n0.insert(uid);
+    }
+    EXPECT_EQ(seen, changed);
+    EXPECT_EQ(seen_n0, changed_n0);
+    expect_indexes_match();
+    if (HasFailure()) break;
+  }
+  // The sequence covered the interesting cases.
+  EXPECT_GT(unreaped_removals, 0);
+  EXPECT_GT(reaps, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(pods.size(), 20u);
+  EXPECT_GT(vnis.size(), 10u);
+}
+
 // -- Job pipeline. --------------------------------------------------------------
 
 TEST_F(ClusterFixture, JobRunsToCompletion) {
@@ -364,6 +581,38 @@ TEST_F(ClusterFixture, DecoratorCreatesAndFinalizesChildren) {
   EXPECT_GE(finalizes, 1);
   EXPECT_TRUE(run_until([&] { return api->list_vni_objects().empty(); }))
       << "children must be removed after finalize";
+  dc.stop();
+}
+
+TEST_F(ClusterFixture, DecoratorRetriesFailedHooksEveryPass) {
+  // A failing /sync or /finalize changes nothing in the store; the
+  // decorator must still retry it on the next pass, not wait for the job
+  // to change.
+  int syncs = 0;
+  int finalizes = 0;
+  DecoratorController::Hooks hooks;
+  hooks.sync_job = [&](const Job& j) {
+    if (++syncs < 10) {
+      return Result<std::vector<VniObject>>(unavailable("endpoint down"));
+    }
+    VniObject child;
+    child.meta.name = j.meta.name + "-vni";
+    child.vni = 77;
+    child.bound_uid = j.meta.uid;
+    return Result<std::vector<VniObject>>(std::vector<VniObject>{child});
+  };
+  hooks.finalize_job = [&](const Job&) {
+    return Result<bool>(++finalizes >= 3);
+  };
+  DecoratorController dc(*api, std::move(hooks), Rng(7));
+  dc.start();
+  const Uid job = submit("flaky", 1, -1, "true");
+  ASSERT_TRUE(run_until([&] { return !api->list_vni_objects().empty(); }));
+  EXPECT_EQ(syncs, 10);
+  ASSERT_TRUE(api->delete_job(job).is_ok());
+  ASSERT_TRUE(run_until([&] { return !api->get_job(job).is_ok(); }));
+  EXPECT_EQ(finalizes, 3);
+  EXPECT_TRUE(api->list_vni_objects().empty());
   dc.stop();
 }
 
