@@ -16,7 +16,7 @@ constexpr const char* kTag = "job-ctrl";
 
 /// The index `i` of a pod named "<job>-<i>" (i in canonical decimal, as
 /// create_pod_at names it), or -1 for any other name.
-long long pod_index(const std::string& pod, const std::string& job) {
+int pod_index(const std::string& pod, const std::string& job) {
   if (pod.size() <= job.size() + 1 || pod.compare(0, job.size(), job) != 0 ||
       pod[job.size()] != '-') {
     return -1;
@@ -30,7 +30,7 @@ long long pod_index(const std::string& pod, const std::string& job) {
       i > static_cast<unsigned long long>(std::numeric_limits<int>::max())) {
     return -1;
   }
-  return static_cast<long long>(i);
+  return static_cast<int>(i);
 }
 }  // namespace
 
@@ -41,7 +41,8 @@ JobController::JobController(ApiServer& api, Rng rng)
   pod_sink_ = api_.on_pod_change([this](const Pod& p) {
     if (p.meta.owner_uid != kNoUid) dirty_.insert(p.meta.owner_uid);
   });
-  mark_all_dirty();
+  // Initial list: jobs that predate the controller.
+  api_.visit_jobs([this](const Job& j) { dirty_.insert(j.meta.uid); });
 }
 
 JobController::~JobController() {
@@ -63,10 +64,6 @@ void JobController::stop() {
   }
 }
 
-void JobController::mark_all_dirty() {
-  api_.visit_jobs([&](const Job& job) { dirty_.insert(job.meta.uid); });
-}
-
 void JobController::restart_from_api() {
   stop();
   ++incarnation_;
@@ -74,11 +71,12 @@ void JobController::restart_from_api() {
   ttl_deleted_.clear();
   seen_indices_.clear();
   replacements_in_flight_.clear();
-  mark_all_dirty();
-  // Rebuild level-triggered from the store.  The finalizer is written
-  // synchronously before the first pod create is scheduled, so it is the
-  // durable "creation began" marker; a job without it reconciles as new.
+  // Rebuild level-triggered from the store, re-evaluating every job on
+  // the next tick.  The finalizer is written synchronously before the
+  // first pod create is scheduled, so it is the durable "creation began"
+  // marker; a job without it reconciles as new.
   api_.visit_jobs([&](const Job& job) {
+    dirty_.insert(job.meta.uid);
     if (job.meta.deletion_requested) return;  // deleting path handles it
     if (!job.meta.has_finalizer(kJobFinalizer)) return;
     pods_created_.insert(job.meta.uid);
@@ -143,7 +141,7 @@ void JobController::reconcile() {
     int active = 0, succeeded = 0, failed = 0;
     SimTime first_running = 0, last_finish = 0;
     api_.visit_pods_of_owner(uid, [&](const Pod& p) {
-      const long long index = pod_index(p.meta.name, job->meta.name);
+      const int index = pod_index(p.meta.name, job->meta.name);
       if (index >= 0 && index < expected) {
         present[static_cast<std::size_t>(index)] = true;
       }

@@ -62,9 +62,6 @@ class JobController {
   /// (Re)creates the single pod with index `index` for `job` after the
   /// usual per-pod API cost.
   void create_pod_at(const Job& job, int index, int stagger);
-  /// Marks every job dirty: the initial list at construction and the
-  /// relist after a restart (the only full walk).
-  void mark_all_dirty();
   SimDuration jittered(SimDuration d) {
     return static_cast<SimDuration>(
         static_cast<double>(d) * rng_.jitter(api_.params().jitter_amplitude));

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <deque>
-#include <set>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
