@@ -68,7 +68,7 @@ int main() {
     SimTime vt = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       auto t = ckpt0->rma_write_sync(solver1->addr().nic, mr.value(), 0, {},
-                                     window.size(), vt, 2000);
+                                     window.size(), vt);
       if (!t.is_ok()) break;
       vt = t.value();
     }

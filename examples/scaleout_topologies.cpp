@@ -31,10 +31,10 @@ void demo(const char* name, TopologyConfig topo) {
 
   (void)fabric->nic(0).post_send(src_ep.value(), 1, near_ep.value(), 1,
                                  4096, {}, 0);
-  auto near_pkt = fabric->nic(1).wait_rx(near_ep.value(), 1000);
+  auto near_pkt = fabric->nic(1).poll_rx(near_ep.value());
   (void)fabric->nic(0).post_send(src_ep.value(), 31, far_ep.value(), 1,
                                  4096, {}, 0);
-  auto far_pkt = fabric->nic(31).wait_rx(far_ep.value(), 1000);
+  auto far_pkt = fabric->nic(31).poll_rx(far_ep.value());
   if (near_pkt.is_ok() && far_pkt.is_ok()) {
     std::printf("  |  0->1: %d hops, %.2f us  |  0->31: %d hops, %.2f us",
                 near_pkt.value().hops,

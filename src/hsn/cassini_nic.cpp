@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hsn/fabric.hpp"
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -70,19 +69,6 @@ RouteResult CassiniNic::inject(Packet&& p) {
   return inject_(std::move(p));
 }
 
-CassiniNic::~CassiniNic() {
-  // Wake any blocked waiters before tearing down.  The Fabric owns the
-  // switch-side port wiring; nothing to detach here.
-  for (const auto& ep : ep_owned_) {
-    {
-      std::lock_guard<SpinLock> ep_lock(ep->qlock);
-      ep->closed = true;
-    }
-    std::lock_guard<std::mutex> wl(ep->wmutex);
-    ep->cv.notify_all();
-  }
-}
-
 std::atomic<CassiniNic::Endpoint*>& CassiniNic::ep_slot_locked(
     EndpointId id) {
   const std::size_t chunk = id / kEpChunkSize;
@@ -135,7 +121,6 @@ Result<EndpointId> CassiniNic::alloc_endpoint(Vni vni, TrafficClass tc) {
 }
 
 Status CassiniNic::free_endpoint(EndpointId id) {
-  Endpoint* ep = nullptr;
   {
     // mr_mutex_ is the OUTER lock (the documented order): the spinlock
     // section inside stays nanoseconds-long and never blocks, and
@@ -144,8 +129,7 @@ Status CassiniNic::free_endpoint(EndpointId id) {
     std::lock_guard<std::mutex> mr_lock(mr_mutex_);
     {
       std::lock_guard<SpinLock> lock(mutex_);
-      ep = find_ep(id);
-      if (ep == nullptr) {
+      if (find_ep(id) == nullptr) {
         return not_found(strfmt("NIC %u: no endpoint %u", addr_, id));
       }
       // Ids are never reused; the slot stays empty.  The object itself
@@ -163,12 +147,6 @@ Status CassiniNic::free_endpoint(EndpointId id) {
       }
     }
   }
-  {
-    std::lock_guard<SpinLock> ep_lock(ep->qlock);
-    ep->closed = true;
-  }
-  std::lock_guard<std::mutex> wl(ep->wmutex);
-  ep->cv.notify_all();
   return Status::ok();
 }
 
@@ -232,18 +210,9 @@ std::size_t CassiniNic::mr_count() const {
 }
 
 void CassiniNic::push_event(Endpoint& ep, Event e, std::size_t cap) {
-  bool notify;
-  {
-    std::lock_guard<SpinLock> lock(ep.qlock);
-    if (ep.events.size() >= cap) ep.events.pop_front();  // oldest-first drop
-    ep.events.push_back(std::move(e));
-    notify = ep.waiters > 0;
-  }
-  if (notify) {
-    // Taking wmutex orders the notify after the waiter's cv.wait entry.
-    std::lock_guard<std::mutex> wl(ep.wmutex);
-    ep.cv.notify_all();
-  }
+  std::lock_guard<SpinLock> lock(ep.qlock);
+  if (ep.events.size() >= cap) ep.events.pop_front();  // oldest-first drop
+  ep.events.push_back(std::move(e));
 }
 
 SimTime CassiniNic::schedule_tx_locked(SimTime accepted_vt, TrafficClass tc,
@@ -711,30 +680,16 @@ std::optional<Packet> CassiniNic::deliver_impl(Packet&& p) {
         counters_.rx_vni_mismatch.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
       }
-      bool notify = false;
-      bool overflow = false;
-      {
-        std::lock_guard<SpinLock> ep_lock(ep->qlock);
-        if (ep->rx.size() >= limits_.max_rx_queue_packets) {
-          // Tail-drop the arriving packet, counted (kRxOverflow):
-          // backpressure must be observable, and data the receiver
-          // already holds must never be silently destroyed to admit
-          // more.
-          overflow = true;
-        } else {
-          ep->rx.push_back(std::move(p));
-          ++ep->rx_accepted;
-          notify = ep->waiters > 0;
-        }
-      }
-      if (overflow) {
+      std::lock_guard<SpinLock> ep_lock(ep->qlock);
+      if (ep->rx.size() >= limits_.max_rx_queue_packets) {
+        // Tail-drop the arriving packet, counted (kRxOverflow):
+        // backpressure must be observable, and data the receiver
+        // already holds must never be silently destroyed to admit more.
         counters_.rx_overflow.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
       }
-      if (notify) {
-        std::lock_guard<std::mutex> wl(ep->wmutex);
-        ep->cv.notify_all();
-      }
+      ep->rx.push_back(std::move(p));
+      ++ep->rx_accepted;
       return std::nullopt;
     }
 
@@ -906,42 +861,6 @@ Packet CassiniNic::make_rma_nack(const Packet& req, RmaNackReason why) {
   return nack;
 }
 
-Result<Packet> CassiniNic::wait_rx(EndpointId ep_id, int real_timeout_ms) {
-  const auto ep = find_ep(ep_id);
-  if (!ep) {
-    return Result<Packet>(not_found(strfmt("NIC %u: no endpoint %u", addr_,
-                                           ep_id)));
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(real_timeout_ms);
-  std::unique_lock<std::mutex> wl(ep->wmutex);
-  for (;;) {
-    {
-      // Check and (if empty) register as a waiter in ONE qlock section:
-      // a push serialized after this either sees data consumed or sees
-      // waiters > 0 and will notify under wmutex, which we still hold.
-      std::lock_guard<SpinLock> qlock(ep->qlock);
-      if (!ep->rx.empty()) return ep->rx.pop_front();
-      if (ep->closed) {
-        return Result<Packet>(failed_precondition("endpoint closed"));
-      }
-      ++ep->waiters;
-    }
-    const auto status = ep->cv.wait_until(wl, deadline);
-    std::lock_guard<SpinLock> qlock(ep->qlock);
-    --ep->waiters;
-    if (status == std::cv_status::timeout) {
-      // Match the classic predicate-wait: data that landed exactly at
-      // the deadline still wins over the timeout.
-      if (!ep->rx.empty()) return ep->rx.pop_front();
-      if (ep->closed) {
-        return Result<Packet>(failed_precondition("endpoint closed"));
-      }
-      return Result<Packet>(timeout_error("wait_rx timed out"));
-    }
-  }
-}
-
 Result<Packet> CassiniNic::poll_rx(EndpointId ep_id) {
   const auto ep = find_ep(ep_id);
   if (!ep) {
@@ -958,45 +877,6 @@ std::size_t CassiniNic::drain_rx(EndpointId ep_id) {
   if (!ep) return 0;
   std::lock_guard<SpinLock> lock(ep->qlock);
   return ep->rx.clear();
-}
-
-Result<Event> CassiniNic::wait_event(EndpointId ep_id, int real_timeout_ms) {
-  const auto ep = find_ep(ep_id);
-  if (!ep) {
-    return Result<Event>(not_found(strfmt("NIC %u: no endpoint %u", addr_,
-                                          ep_id)));
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(real_timeout_ms);
-  std::unique_lock<std::mutex> wl(ep->wmutex);
-  for (;;) {
-    {
-      std::lock_guard<SpinLock> qlock(ep->qlock);
-      if (!ep->events.empty()) {
-        Event e = std::move(ep->events.front());
-        ep->events.pop_front();
-        return e;
-      }
-      if (ep->closed) {
-        return Result<Event>(failed_precondition("endpoint closed"));
-      }
-      ++ep->waiters;
-    }
-    const auto status = ep->cv.wait_until(wl, deadline);
-    std::lock_guard<SpinLock> qlock(ep->qlock);
-    --ep->waiters;
-    if (status == std::cv_status::timeout) {
-      if (!ep->events.empty()) {
-        Event e = std::move(ep->events.front());
-        ep->events.pop_front();
-        return e;
-      }
-      if (ep->closed) {
-        return Result<Event>(failed_precondition("endpoint closed"));
-      }
-      return Result<Event>(timeout_error("wait_event timed out"));
-    }
-  }
 }
 
 Result<Event> CassiniNic::poll_event(EndpointId ep_id) {

@@ -23,7 +23,9 @@
 // NIC valid across topology republishes with nothing to re-validate.
 //
 // Thread-safety: all public methods may be called from any thread; RX and
-// event queues use mutex+condvar so application threads block naturally.
+// event queues sit behind a per-endpoint spinlock and are read by polling
+// (the synchronous walk queues a packet, and its reply or ACK, before the
+// send returns, so there is nothing to block for).
 // The endpoint directory is read lock-free (three dependent atomic loads
 // through an append-only chunked index), so the steady-state send and
 // receive paths never touch the NIC-wide lock for endpoint resolution.
@@ -31,7 +33,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <memory>
@@ -154,7 +155,6 @@ class CassiniNic {
   /// outlives its NICs by construction.
   CassiniNic(NicAddr addr, Fabric& fabric,
              std::shared_ptr<TimingModel> timing, NicLimits limits = {});
-  ~CassiniNic();
   CassiniNic(const CassiniNic&) = delete;
   CassiniNic& operator=(const CassiniNic&) = delete;
 
@@ -225,10 +225,7 @@ class CassiniNic {
 
   // -- Queues.
 
-  /// Blocking dequeue of the next two-sided packet for `ep`.  Returns
-  /// kTimeout after `real_timeout_ms` wall milliseconds (0 = poll once).
-  Result<Packet> wait_rx(EndpointId ep, int real_timeout_ms = 10'000);
-  /// Non-blocking variant.
+  /// Dequeues the next two-sided packet for `ep` (kUnavailable if none).
   Result<Packet> poll_rx(EndpointId ep);
   /// Bulk-discards every packet queued on `ep` (a completion-queue
   /// drain: one lock, no per-packet move).  Returns the discard count —
@@ -236,8 +233,7 @@ class CassiniNic {
   /// poll round trip per packet.
   std::size_t drain_rx(EndpointId ep);
 
-  /// Blocking dequeue from the endpoint's event queue.
-  Result<Event> wait_event(EndpointId ep, int real_timeout_ms = 10'000);
+  /// Dequeues the endpoint's next event (kUnavailable if none).
   Result<Event> poll_event(EndpointId ep);
 
   [[nodiscard]] NicCounters counters() const;
@@ -399,34 +395,21 @@ class CassiniNic {
     std::size_t size_ = 0;
   };
 
-  /// A hardware endpoint.  Owns its queues behind its own mutex so a
-  /// blocked receiver never stalls the NIC-wide maps (and per-rank
-  /// application threads do not contend with each other).
+  /// A hardware endpoint.  Owns its queues behind its own lock so
+  /// endpoints never contend with each other or with the NIC-wide maps.
   struct Endpoint {
     Vni vni = kInvalidVni;
     TrafficClass tc = TrafficClass::kBestEffort;
-    /// Two-lock queue discipline.  `qlock` (a spinlock) guards the
-    /// queues, `waiters`, and `closed` — every push/poll/drain is a few
-    /// dozen nanoseconds, so the steady-state data path never touches a
-    /// pthread mutex.  `wmutex` + `cv` exist only for *blocking*
-    /// receivers: a waiter holds wmutex, then atomically
-    /// checks-the-queue-and-registers under qlock before waiting, and a
-    /// pusher that observes `waiters > 0` (after its push, under qlock)
-    /// acquires wmutex before notifying — so the notify can never slip
-    /// into the gap between a waiter's check and its wait.  Lock order
-    /// is always qlock-inside-wmutex; pushers never hold qlock while
-    /// taking wmutex.
+    /// Guards the queues.  A spinlock: every push/poll/drain is a few
+    /// dozen nanoseconds, and ShardEngine workers push from their own
+    /// threads.
     SpinLock qlock;
-    std::mutex wmutex;
-    std::condition_variable cv;
     PacketRing rx;
     std::deque<Event> events;
     /// Two-sided packets accepted into rx (plain: incremented under
     /// qlock, which the push holds anyway — no extra atomic RMW on the
     /// per-packet path).  counters() sums these across endpoints.
     std::uint64_t rx_accepted = 0;
-    int waiters = 0;  ///< blocked wait_rx/wait_event calls (under qlock)
-    bool closed = false;
   };
   struct MemRegion {
     EndpointId ep = 0;
@@ -561,7 +544,7 @@ class CassiniNic {
   std::atomic<EpSpine*> ep_spine_;
   std::vector<std::unique_ptr<EpSpine>> ep_spines_;  ///< all generations
   std::vector<std::unique_ptr<EpChunk>> ep_chunks_;  ///< stable chunk storage
-  std::vector<std::shared_ptr<Endpoint>> ep_owned_;  ///< alive until ~CassiniNic
+  std::vector<std::shared_ptr<Endpoint>> ep_owned_;  ///< alive until NIC dies
   std::unordered_map<RKey, MemRegion> mrs_;
   /// Relaxed atomics for the paths that hold no lock; the two
   /// per-packet counters (tx under mutex_, two-sided rx under the

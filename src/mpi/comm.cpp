@@ -32,36 +32,16 @@ Status RankContext::send(int dst, std::uint32_t tag,
 }
 
 Result<RecvInfo> RankContext::recv(int src, std::uint32_t tag,
-                                   std::span<std::byte> buffer,
-                                   int real_timeout_ms) {
+                                   std::span<std::byte> buffer) {
   if (src < 0 || src >= comm_->size()) {
     return Result<RecvInfo>(invalid_argument("bad rank"));
   }
-  auto r = ep_->trecv_sync(wire_tag(src, tag), buffer, real_timeout_ms);
+  auto r = ep_->trecv_sync(wire_tag(src, tag), buffer);
   if (!r.is_ok()) return Result<RecvInfo>(r.status());
   // Lamport merge: the local clock jumps to the arrival time if the
   // message was still in flight.
   vt_ = std::max(vt_, r.value().vt);
   return RecvInfo{r.value().size, src};
-}
-
-Status RankContext::barrier() {
-  // Tag space 0xB000_0000+ is reserved for barriers; the epoch counter
-  // keeps successive barriers from matching each other's tokens.
-  const std::uint32_t tag = 0xB0000000u + barrier_epoch_++;
-  if (rank_ == 0) {
-    for (int r = 1; r < size(); ++r) {
-      auto in = recv(r, tag, {});
-      if (!in.is_ok()) return in.status();
-    }
-    for (int r = 1; r < size(); ++r) {
-      SHS_RETURN_IF_ERROR(send(r, tag, {}, 0));
-    }
-    return Status::ok();
-  }
-  SHS_RETURN_IF_ERROR(send(0, tag, {}, 0));
-  auto release = recv(0, tag, {});
-  return release.status();
 }
 
 }  // namespace shs::mpi

@@ -1,12 +1,14 @@
 // comm.hpp — a minimal MPI-like point-to-point layer over the ofi
 // endpoints (the paper runs OSU over Open MPI over patched libfabric).
 //
-// Scope: exactly what the OSU micro-benchmarks need — ranks, blocking
-// tagged send/recv with source matching, and a barrier.  Each rank runs
-// on its own OS thread and owns a virtual clock; receives merge the
-// sender's packet-arrival time into the local clock (Lamport-style), so
-// bandwidth and latency measurements read off virtual time and are
-// reproducible regardless of host scheduling.
+// Scope: exactly what the OSU micro-benchmarks need — ranks and tagged
+// send/recv with source matching.  All ranks are driven from one thread
+// in protocol order: a send walks the fabric synchronously, so the
+// message is already queued at its target when send() returns, and a
+// recv only matches what has arrived (kTimeout if nothing has).  Each
+// rank owns a virtual clock; receives merge the sender's packet-arrival
+// time into the local clock (Lamport-style), so bandwidth and latency
+// read off virtual time and a run is reproducible.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,7 @@ struct RecvInfo {
 
 class Communicator;
 
-/// Per-rank handle.  NOT thread-safe: use from the owning rank's thread.
+/// Per-rank handle.  NOT thread-safe: drive all ranks from one thread.
 class RankContext {
  public:
   RankContext(Communicator* comm, int rank, ofi::Endpoint* ep) noexcept
@@ -35,18 +37,15 @@ class RankContext {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept;
 
-  /// Blocking tagged send of `size` bytes to `dst`.  Empty `data` sends a
+  /// Tagged send of `size` bytes to `dst`.  Empty `data` sends a
   /// size-only (timing) message.
   Status send(int dst, std::uint32_t tag, std::span<const std::byte> data,
               std::uint64_t size);
 
-  /// Blocking tagged receive from `src`.
+  /// Tagged receive from `src` of a message that has already arrived;
+  /// kTimeout when none has.
   Result<RecvInfo> recv(int src, std::uint32_t tag,
-                        std::span<std::byte> buffer,
-                        int real_timeout_ms = 10'000);
-
-  /// Linear barrier through rank 0.
-  Status barrier();
+                        std::span<std::byte> buffer);
 
   /// This rank's virtual clock (nanoseconds).
   [[nodiscard]] SimTime vt() const noexcept { return vt_; }
@@ -62,7 +61,6 @@ class RankContext {
   int rank_;
   ofi::Endpoint* ep_;
   SimTime vt_ = 0;
-  std::uint32_t barrier_epoch_ = 0;
 };
 
 /// The world: rank -> endpoint addresses.  Construct via `create`.

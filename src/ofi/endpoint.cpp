@@ -96,16 +96,18 @@ void Endpoint::cq_push_from(hsn::Event&& e) {
   cq_.push_back(std::move(c));
 }
 
+void Endpoint::stash_unexpected(hsn::Packet&& p) {
+  if (unexpected_.size() >= kMaxUnexpected) unexpected_.pop_front();
+  unexpected_.push_back(std::move(p));
+}
+
 std::size_t Endpoint::progress() {
   std::size_t processed = 0;
   while (true) {
     auto pkt = nic_.poll_rx(hw_.ep);
     if (!pkt.is_ok()) break;
     hsn::Packet p = std::move(pkt).value();
-    if (!match_posted(p)) {
-      if (unexpected_.size() >= kMaxUnexpected) unexpected_.pop_front();
-      unexpected_.push_back(std::move(p));
-    }
+    if (!match_posted(p)) stash_unexpected(std::move(p));
     ++processed;
   }
   // Drain the NIC event queue too: RMA completions (ACKs, read data,
@@ -127,72 +129,35 @@ std::optional<Completion> Endpoint::cq_read() {
   return c;
 }
 
-Result<Completion> Endpoint::cq_sread(int real_timeout_ms) {
-  // Fast path.
+Result<Completion> Endpoint::cq_sread() {
   if (auto c = cq_read()) return *c;
-  // Block on the NIC RX queue until something arrives or the deadline
-  // passes.  Completions produced by pure sends are already in cq_.
-  const int slice_ms = 50;
-  int waited = 0;
-  while (waited <= real_timeout_ms) {
-    auto pkt = nic_.wait_rx(hw_.ep, std::min(slice_ms, real_timeout_ms));
-    if (pkt.is_ok()) {
-      hsn::Packet p = std::move(pkt).value();
-      if (!match_posted(p)) {
-        if (unexpected_.size() >= kMaxUnexpected) unexpected_.pop_front();
-        unexpected_.push_back(std::move(p));
-      }
-      if (auto c = cq_read()) return *c;
-      continue;  // unexpected message; keep waiting
-    }
-    if (pkt.code() != Code::kTimeout) return Result<Completion>(pkt.status());
-    waited += slice_ms;
-    if (auto c = cq_read()) return *c;
-  }
-  return Result<Completion>(timeout_error("cq_sread deadline exceeded"));
+  return Result<Completion>(timeout_error("cq_sread: no completion"));
 }
 
 Result<RecvResult> Endpoint::trecv_sync(std::uint64_t tag,
-                                        std::span<std::byte> buffer,
-                                        int real_timeout_ms) {
+                                        std::span<std::byte> buffer) {
+  const auto take = [&](const hsn::Packet& p) {
+    if (!p.payload.empty() && !buffer.empty()) {
+      std::memcpy(buffer.data(), p.payload.data(),
+                  std::min<std::size_t>(buffer.size(), p.payload.size()));
+    }
+    return RecvResult{p.size_bytes, p.tag, FiAddr{p.src, p.src_ep},
+                      p.arrival_vt + timing_->rx_overhead()};
+  };
   // 1. Unexpected queue first (messages that raced ahead of the post).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (tag_matches(tag, it->tag)) {
-      hsn::Packet p = std::move(*it);
-      unexpected_.erase(it);
-      if (!p.payload.empty() && !buffer.empty()) {
-        std::memcpy(buffer.data(), p.payload.data(),
-                    std::min<std::size_t>(buffer.size(), p.payload.size()));
-      }
-      return RecvResult{p.size_bytes, p.tag, FiAddr{p.src, p.src_ep},
-                        p.arrival_vt + timing_->rx_overhead()};
-    }
+    if (!tag_matches(tag, it->tag)) continue;
+    const RecvResult r = take(*it);
+    unexpected_.erase(it);
+    return r;
   }
-  // 2. Block on arrivals.
-  const int slice_ms = 50;
-  int waited = 0;
-  while (waited <= real_timeout_ms) {
-    auto pkt = nic_.wait_rx(hw_.ep, std::min(slice_ms, real_timeout_ms));
-    if (!pkt.is_ok()) {
-      if (pkt.code() == Code::kTimeout) {
-        waited += slice_ms;
-        continue;
-      }
-      return Result<RecvResult>(pkt.status());
-    }
-    hsn::Packet p = std::move(pkt).value();
-    if (tag_matches(tag, p.tag)) {
-      if (!p.payload.empty() && !buffer.empty()) {
-        std::memcpy(buffer.data(), p.payload.data(),
-                    std::min<std::size_t>(buffer.size(), p.payload.size()));
-      }
-      return RecvResult{p.size_bytes, p.tag, FiAddr{p.src, p.src_ep},
-                        p.arrival_vt + timing_->rx_overhead()};
-    }
-    if (unexpected_.size() >= kMaxUnexpected) unexpected_.pop_front();
-    unexpected_.push_back(std::move(p));
+  // 2. Then what has arrived since, in order.
+  for (auto pkt = nic_.poll_rx(hw_.ep); pkt.is_ok();
+       pkt = nic_.poll_rx(hw_.ep)) {
+    if (tag_matches(tag, pkt.value().tag)) return take(pkt.value());
+    stash_unexpected(std::move(pkt).value());
   }
-  return Result<RecvResult>(timeout_error("trecv_sync deadline exceeded"));
+  return Result<RecvResult>(timeout_error("trecv_sync: no matching message"));
 }
 
 Result<hsn::RKey> Endpoint::mr_reg(std::span<std::byte> region) {
@@ -224,31 +189,14 @@ Result<std::uint64_t> Endpoint::post_rma_read(hsn::NicAddr dst,
   return op;
 }
 
-Result<SimTime> Endpoint::await_rma(std::uint64_t op, int real_timeout_ms) {
-  const int slice_ms = 50;
-  int waited = 0;
-  for (;;) {
-    // The completion may already sit in the CQ (or in the NIC's event
-    // queue — drained by progress() inside cq_read's caller path).
-    for (auto it = cq_.begin(); it != cq_.end(); ++it) {
-      if (it->op_id != op) continue;
-      const Completion c = *it;
-      cq_.erase(it);
-      if (c.kind == Completion::Kind::kError) {
-        return Result<SimTime>(c.status);
-      }
-      return c.vt;
-    }
-    if (waited > real_timeout_ms) break;
-    auto ev = nic_.wait_event(hw_.ep, std::min(slice_ms, real_timeout_ms));
-    if (!ev.is_ok()) {
-      if (ev.code() != Code::kTimeout) return Result<SimTime>(ev.status());
-      waited += slice_ms;
-      continue;
-    }
-    // Events for other ops become ordinary CQ entries; ours is found by
-    // the scan above next iteration.
-    cq_push_from(std::move(ev).value());
+Result<SimTime> Endpoint::await_rma(std::uint64_t op) {
+  progress();
+  for (auto it = cq_.begin(); it != cq_.end(); ++it) {
+    if (it->op_id != op) continue;
+    const Completion c = *it;
+    cq_.erase(it);
+    if (c.kind == Completion::Kind::kError) return Result<SimTime>(c.status);
+    return c.vt;
   }
   return Result<SimTime>(timeout_error(
       "await_rma: no completion (is the target MR registered on this "
@@ -258,22 +206,21 @@ Result<SimTime> Endpoint::await_rma(std::uint64_t op, int real_timeout_ms) {
 Result<SimTime> Endpoint::rma_write_sync(hsn::NicAddr dst, hsn::RKey rkey,
                                          std::uint64_t offset,
                                          std::span<const std::byte> payload,
-                                         std::uint64_t size, SimTime vt,
-                                         int real_timeout_ms) {
+                                         std::uint64_t size, SimTime vt) {
   auto op = post_rma_write(dst, rkey, offset, payload, size, vt);
   if (!op.is_ok()) return Result<SimTime>(op.status());
-  return await_rma(op.value(), real_timeout_ms);
+  return await_rma(op.value());
 }
 
 Result<SimTime> Endpoint::rma_read_sync(hsn::NicAddr dst, hsn::RKey rkey,
                                         std::uint64_t offset,
                                         std::uint64_t size,
                                         std::vector<std::byte>& out,
-                                        SimTime vt, int real_timeout_ms) {
+                                        SimTime vt) {
   out.resize(size);
   auto op = post_rma_read(dst, rkey, offset, size, out, vt);
   if (!op.is_ok()) return Result<SimTime>(op.status());
-  return await_rma(op.value(), real_timeout_ms);
+  return await_rma(op.value());
 }
 
 }  // namespace shs::ofi

@@ -2,8 +2,11 @@
 //
 // Provides tagged two-sided messaging with posted-receive matching and an
 // unexpected-message queue (the semantics MPI needs), plus one-sided RMA,
-// plus a software completion queue.  Blocking `*_sync` convenience calls
-// wrap the post/progress/poll cycle for application code.
+// plus a software completion queue.  The `*_sync` convenience calls wrap
+// the post/progress/poll cycle for application code: a send or RMA walks
+// the fabric synchronously, so its message, reply or ACK is queued before
+// the post returns, and a `*_sync` call only matches what has already
+// arrived (kTimeout when nothing has).
 //
 // Authentication already happened: constructing an Endpoint requires a
 // CxiEndpoint, which only the CXI driver hands out after the member check.
@@ -12,7 +15,6 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -34,7 +36,7 @@ struct RecvResult {
 };
 
 /// A connected-less (RDM-style) endpoint.  Thread-compatible: one owner
-/// thread per endpoint, which is how the mini-MPI ranks use it.
+/// thread per endpoint.
 class Endpoint {
  public:
   /// Takes ownership of `hw` (freed through `lib` on destruction).
@@ -69,11 +71,11 @@ class Endpoint {
   void post_trecv(std::uint64_t tag, std::span<std::byte> buffer,
                   std::uint64_t context);
 
-  /// Blocking tagged receive: matches the unexpected queue first, then
-  /// waits on the NIC RX queue.  Returns the receive metadata.
+  /// Tagged receive of a message that has already arrived: matches the
+  /// unexpected queue first, then the NIC RX queue in arrival order.
+  /// Returns the receive metadata, or kTimeout if none has arrived.
   Result<RecvResult> trecv_sync(std::uint64_t tag,
-                                std::span<std::byte> buffer,
-                                int real_timeout_ms = 10'000);
+                                std::span<std::byte> buffer);
 
   // -- Progress and completions.
 
@@ -84,8 +86,8 @@ class Endpoint {
   /// Non-blocking CQ read.
   std::optional<Completion> cq_read();
 
-  /// Blocking CQ read: progresses until a completion or timeout.
-  Result<Completion> cq_sread(int real_timeout_ms = 10'000);
+  /// CQ read as a Result: kTimeout when no completion is queued.
+  Result<Completion> cq_sread();
 
   // -- One-sided RMA.
 
@@ -111,21 +113,19 @@ class Endpoint {
                                       std::uint64_t size,
                                       std::span<std::byte> out, SimTime vt);
 
-  /// Blocking RDMA write: returns the caller's clock at remote-ACK time.
-  /// Thin shim over post_rma_write + CQ wait.
+  /// RDMA write that returns the caller's clock at remote-ACK time.
+  /// Thin shim over post_rma_write + one CQ pass.
   Result<SimTime> rma_write_sync(hsn::NicAddr dst, hsn::RKey rkey,
                                  std::uint64_t offset,
                                  std::span<const std::byte> payload,
-                                 std::uint64_t size, SimTime vt,
-                                 int real_timeout_ms = 10'000);
+                                 std::uint64_t size, SimTime vt);
 
-  /// Blocking RDMA read: fills `out` (resized to `size`) and returns the
-  /// caller's clock at data-arrival time.  Thin shim over post_rma_read
-  /// + CQ wait.
+  /// RDMA read: fills `out` (resized to `size`) and returns the caller's
+  /// clock at data-arrival time.  Thin shim over post_rma_read + one CQ
+  /// pass.
   Result<SimTime> rma_read_sync(hsn::NicAddr dst, hsn::RKey rkey,
                                 std::uint64_t offset, std::uint64_t size,
-                                std::vector<std::byte>& out, SimTime vt,
-                                int real_timeout_ms = 10'000);
+                                std::vector<std::byte>& out, SimTime vt);
 
   /// Number of messages sitting in the unexpected queue (diagnostics).
   [[nodiscard]] std::size_t unexpected_depth() const noexcept {
@@ -155,12 +155,14 @@ class Endpoint {
   /// Matches `p` against posted receives; true if consumed.
   bool match_posted(hsn::Packet& p);
   void deliver(const PostedRecv& r, hsn::Packet& p);
+  /// Queues an arrival no receive matched (oldest dropped at the cap).
+  void stash_unexpected(hsn::Packet&& p);
   /// Translates a NIC event into a CQ entry (read payloads land in the
   /// span registered at post time).
   void cq_push_from(hsn::Event&& e);
-  /// Sync-shim tail: progresses the event queue until the completion for
-  /// `op` arrives, then returns its vt (or its terminal error).
-  Result<SimTime> await_rma(std::uint64_t op, int real_timeout_ms);
+  /// Sync-shim tail: one progress pass, then takes the completion for
+  /// `op` and returns its vt (or its terminal error; kTimeout if absent).
+  Result<SimTime> await_rma(std::uint64_t op);
   static bool tag_matches(std::uint64_t posted, std::uint64_t got) noexcept {
     return posted == kTagAny || posted == got;
   }

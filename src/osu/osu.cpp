@@ -1,7 +1,5 @@
 #include "osu/osu.hpp"
 
-#include <thread>
-
 #include "util/units.hpp"
 
 namespace shs::osu {
@@ -27,56 +25,25 @@ Result<double> run_osu_bw(mpi::Communicator& comm, std::uint64_t size,
   mpi::RankContext& sender = comm.rank(0);
   mpi::RankContext& receiver = comm.rank(1);
 
-  Status sender_status = Status::ok();
-  Status receiver_status = Status::ok();
   SimTime t_begin = 0;
-  SimTime t_end = 0;
-
-  std::thread recv_thread([&] {
-    for (int it = 0; it < options.iterations + options.skip; ++it) {
-      for (int w = 0; w < options.window; ++w) {
-        auto r = receiver.recv(0, kBwDataTag, {});
-        if (!r.is_ok()) {
-          receiver_status = r.status();
-          return;
-        }
-      }
-      // Window acknowledgement, as osu_bw's receiver sends after each
-      // window (4-byte ack in the original).
-      const Status st = receiver.send(0, kBwAckTag, {}, 4);
-      if (!st.is_ok()) {
-        receiver_status = st;
-        return;
-      }
-    }
-  });
-
   for (int it = 0; it < options.iterations + options.skip; ++it) {
     if (it == options.skip) t_begin = sender.vt();
     for (int w = 0; w < options.window; ++w) {
-      const Status st = sender.send(1, kBwDataTag, {}, size);
-      if (!st.is_ok()) {
-        sender_status = st;
-        break;
-      }
+      SHS_RETURN_IF_ERROR(sender.send(1, kBwDataTag, {}, size));
     }
-    if (!sender_status.is_ok()) break;
-    auto ack = sender.recv(1, kBwAckTag, {});
-    if (!ack.is_ok()) {
-      sender_status = ack.status();
-      break;
+    for (int w = 0; w < options.window; ++w) {
+      SHS_RETURN_IF_ERROR(receiver.recv(0, kBwDataTag, {}).status());
     }
+    // Window acknowledgement, as osu_bw's receiver sends after each
+    // window (4-byte ack in the original).
+    SHS_RETURN_IF_ERROR(receiver.send(0, kBwAckTag, {}, 4));
+    SHS_RETURN_IF_ERROR(sender.recv(1, kBwAckTag, {}).status());
   }
-  t_end = sender.vt();
-  recv_thread.join();
-
-  if (!sender_status.is_ok()) return Result<double>(sender_status);
-  if (!receiver_status.is_ok()) return Result<double>(receiver_status);
 
   const double bytes = static_cast<double>(size) *
                        static_cast<double>(options.iterations) *
                        static_cast<double>(options.window);
-  const double seconds = to_seconds(t_end - t_begin);
+  const double seconds = to_seconds(sender.vt() - t_begin);
   if (seconds <= 0) return Result<double>(internal_error("no elapsed time"));
   return bytes / seconds / 1.0e6;  // MB/s, as OSU reports
 }
@@ -89,46 +56,16 @@ Result<double> run_osu_latency(mpi::Communicator& comm, std::uint64_t size,
   mpi::RankContext& ping = comm.rank(0);
   mpi::RankContext& pong = comm.rank(1);
 
-  Status ping_status = Status::ok();
-  Status pong_status = Status::ok();
   SimTime t_begin = 0;
-  SimTime t_end = 0;
-
-  std::thread pong_thread([&] {
-    for (int it = 0; it < options.iterations + options.skip; ++it) {
-      auto r = pong.recv(0, kPingTag, {});
-      if (!r.is_ok()) {
-        pong_status = r.status();
-        return;
-      }
-      const Status st = pong.send(0, kPongTag, {}, size);
-      if (!st.is_ok()) {
-        pong_status = st;
-        return;
-      }
-    }
-  });
-
   for (int it = 0; it < options.iterations + options.skip; ++it) {
     if (it == options.skip) t_begin = ping.vt();
-    const Status st = ping.send(1, kPingTag, {}, size);
-    if (!st.is_ok()) {
-      ping_status = st;
-      break;
-    }
-    auto r = ping.recv(1, kPongTag, {});
-    if (!r.is_ok()) {
-      ping_status = r.status();
-      break;
-    }
+    SHS_RETURN_IF_ERROR(ping.send(1, kPingTag, {}, size));
+    SHS_RETURN_IF_ERROR(pong.recv(0, kPingTag, {}).status());
+    SHS_RETURN_IF_ERROR(pong.send(0, kPongTag, {}, size));
+    SHS_RETURN_IF_ERROR(ping.recv(1, kPongTag, {}).status());
   }
-  t_end = ping.vt();
-  pong_thread.join();
 
-  if (!ping_status.is_ok()) return Result<double>(ping_status);
-  if (!pong_status.is_ok()) return Result<double>(pong_status);
-
-  const double us = to_micros(t_end - t_begin);
+  const double us = to_micros(ping.vt() - t_begin);
   // One-way latency: total round-trip time over 2*iterations.
   return us / (2.0 * static_cast<double>(options.iterations));
 }

@@ -2,9 +2,10 @@
 //
 // Reimplements the measurement loops of the OSU suite the paper uses
 // (Section IV-A): window-based streaming bandwidth and ping-pong latency,
-// with warm-up (skip) iterations, over the mini-MPI layer.  The two ranks
-// run on two OS threads; results read off the ranks' *virtual* clocks, so
-// they reflect the calibrated Slingshot timing model, not host load.
+// with warm-up (skip) iterations, over the mini-MPI layer.  Both ranks
+// run on the calling thread in the order the protocol fixes, and results
+// read off the ranks' *virtual* clocks, so a run is reproducible and
+// reflects the calibrated Slingshot timing model, not host load.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,13 @@ struct LatencyOptions {
   int skip = 20;
 };
 
-/// Runs osu_bw between ranks 0 and 1 of `comm` (two threads).
+/// Runs osu_bw between ranks 0 and 1 of `comm`: per iteration rank 0
+/// sends a window, rank 1 drains it and acks, rank 0 receives the ack.
 /// Returns throughput in MB/s computed from virtual time.
 Result<double> run_osu_bw(mpi::Communicator& comm, std::uint64_t size,
                           const BwOptions& options = {});
 
-/// Runs osu_latency (ping-pong) between ranks 0 and 1 of `comm`.
+/// Runs osu_latency (ping, then pong) between ranks 0 and 1 of `comm`.
 /// Returns one-way latency in microseconds.
 Result<double> run_osu_latency(mpi::Communicator& comm, std::uint64_t size,
                                const LatencyOptions& options = {});

@@ -76,7 +76,7 @@ TEST(AdaptiveRouting, UgalFallsBackToMinimalOnIdleFabric) {
     const auto eps = open_endpoints(*f, kVni);
     ASSERT_TRUE(
         f->nic(0).post_send(eps[0], 20, eps[20], 1, 4096, {}, 0).is_ok());
-    auto pkt = f->nic(20).wait_rx(eps[20], 1000);
+    auto pkt = f->nic(20).poll_rx(eps[20]);
     ASSERT_TRUE(pkt.is_ok());
     EXPECT_EQ(f->total_counters().routed_nonminimal, 0u);
     (policy == RoutingPolicy::kMinimal ? got_minimal : got_ugal) =
@@ -143,7 +143,7 @@ TEST(AdaptiveRouting, ValiantPathsReachEveryPairWithoutDrops) {
                                    1, 1024, {}, 0)
                         .is_ok())
             << i << " -> " << j;
-        auto pkt = f->nic(static_cast<NicAddr>(j)).wait_rx(eps[j], 1000);
+        auto pkt = f->nic(static_cast<NicAddr>(j)).poll_rx(eps[j]);
         ASSERT_TRUE(pkt.is_ok()) << i << " -> " << j;
         EXPECT_LE(pkt.value().hops, 6) << i << " -> " << j;
         ++delivered;
@@ -234,7 +234,7 @@ TEST(AdaptiveRouting, DetoursNeverBypassEdgeVniEnforcement) {
                     .post_send(ep0.value(), 20, ep20.value(), 1, 4096, {},
                                0)
                     .is_ok());
-    EXPECT_TRUE(f->nic(20).wait_rx(ep20.value(), 1000).is_ok());
+    EXPECT_TRUE(f->nic(20).poll_rx(ep20.value()).is_ok());
 
     // Unauthorized source is refused at its own edge.
     auto stolen = f->nic(40).post_send(ep40.value(), 20, ep20.value(), 2,

@@ -77,7 +77,7 @@ TEST(DevicePlugin, DeviceAccessAloneGivesNoIsolation) {
   ASSERT_TRUE(ep_a.value()
                   ->tsend(ep_b.value()->addr(), 1, {}, 64, 0)
                   .is_ok());
-  EXPECT_TRUE(ep_b.value()->trecv_sync(1, {}, 1000).is_ok())
+  EXPECT_TRUE(ep_b.value()->trecv_sync(1, {}).is_ok())
       << "device-plugin-only pods share the global VNI";
 }
 
@@ -106,7 +106,7 @@ TEST(DevicePlugin, CniIntegrationRestoresIsolation) {
   auto ep_b =
       stack.domain_for(hb).value().open_endpoint(pod_b.status.vni).value();
   (void)ep_a->tsend(ep_b->addr(), 1, {}, 64, 0);
-  EXPECT_EQ(ep_b->trecv_sync(1, {}, 100).code(), Code::kTimeout)
+  EXPECT_EQ(ep_b->trecv_sync(1, {}).code(), Code::kTimeout)
       << "per-job VNIs must isolate the tenants";
 }
 

@@ -29,7 +29,7 @@ TEST(Switch, RoutesAuthorizedVni) {
   auto t = f->nic(0).post_send(ep0.value(), 1, ep1.value(), /*tag=*/7,
                                /*size=*/64, {}, /*vt=*/0);
   ASSERT_TRUE(t.is_ok());
-  auto pkt = f->nic(1).wait_rx(ep1.value(), 1000);
+  auto pkt = f->nic(1).poll_rx(ep1.value());
   ASSERT_TRUE(pkt.is_ok());
   EXPECT_EQ(pkt.value().tag, 7u);
   EXPECT_EQ(pkt.value().size_bytes, 64u);
@@ -66,7 +66,7 @@ TEST(Switch, EnforcementOffRoutesEverything) {
   auto ep1 = f->nic(1).alloc_endpoint(100, TrafficClass::kBestEffort);
   auto t = f->nic(0).post_send(ep0.value(), 1, ep1.value(), 1, 8, {}, 0);
   EXPECT_TRUE(t.is_ok());
-  EXPECT_TRUE(f->nic(1).wait_rx(ep1.value(), 1000).is_ok());
+  EXPECT_TRUE(f->nic(1).poll_rx(ep1.value()).is_ok());
 }
 
 TEST(Switch, UnknownDestination) {
@@ -201,16 +201,16 @@ TEST(Nic, PayloadTravels) {
                   .post_send(ep0.value(), 1, ep1.value(), 1, sizeof(msg),
                              bytes, 0)
                   .is_ok());
-  auto pkt = f->nic(1).wait_rx(ep1.value(), 1000);
+  auto pkt = f->nic(1).poll_rx(ep1.value());
   ASSERT_TRUE(pkt.is_ok());
   ASSERT_EQ(pkt.value().payload.size(), sizeof(msg));
   EXPECT_EQ(std::memcmp(pkt.value().payload.data(), msg, sizeof(msg)), 0);
 }
 
-TEST(Nic, WaitRxTimesOut) {
+TEST(Nic, PollRxOnEmptyQueueIsUnavailable) {
   auto f = make_fabric();
   auto ep = f->nic(0).alloc_endpoint(100, TrafficClass::kBestEffort);
-  EXPECT_EQ(f->nic(0).wait_rx(ep.value(), 50).code(), Code::kTimeout);
+  EXPECT_EQ(f->nic(0).poll_rx(ep.value()).code(), Code::kUnavailable);
 }
 
 // -- RMA. --------------------------------------------------------------------
@@ -229,7 +229,7 @@ TEST(Rma, WriteReachesRegisteredMemory) {
                               sizeof(data), std::as_bytes(std::span(data)),
                               0, /*op_id=*/42)
                   .is_ok());
-  auto ev = f->nic(0).wait_event(ep0.value(), 1000);
+  auto ev = f->nic(0).poll_event(ep0.value());
   ASSERT_TRUE(ev.is_ok());
   EXPECT_EQ(ev.value().type, Event::Type::kRdmaWriteComplete);
   EXPECT_EQ(ev.value().op_id, 42u);
@@ -248,7 +248,7 @@ TEST(Rma, ReadReturnsData) {
   ASSERT_TRUE(f->nic(0)
                   .rdma_read(ep0.value(), 1, mr.value(), 4, 8, 0, 7)
                   .is_ok());
-  auto ev = f->nic(0).wait_event(ep0.value(), 1000);
+  auto ev = f->nic(0).poll_event(ep0.value());
   ASSERT_TRUE(ev.is_ok());
   EXPECT_EQ(ev.value().type, Event::Type::kRdmaReadComplete);
   ASSERT_EQ(ev.value().data.size(), 8u);
@@ -271,7 +271,7 @@ TEST(Rma, WrongVniMrIsDenied) {
                   .rdma_write(attacker.value(), 1, mr.value(), 0, 8, {}, 0, 9)
                   .is_ok());
   EXPECT_EQ(f->nic(1).counters().rma_denied, 1u);
-  auto ev = f->nic(0).wait_event(attacker.value(), 1000);
+  auto ev = f->nic(0).poll_event(attacker.value());
   ASSERT_TRUE(ev.is_ok());
   EXPECT_EQ(ev.value().type, Event::Type::kError);
   EXPECT_EQ(ev.value().status.code(), Code::kPermissionDenied);
@@ -326,7 +326,7 @@ TEST(Timing, LargeTransfersApproachLineRate) {
   }
   std::vector<SimTime> arrivals;
   for (int i = 0; i < 8; ++i) {
-    auto p = f->nic(1).wait_rx(ep1.value(), 1000);
+    auto p = f->nic(1).poll_rx(ep1.value());
     ASSERT_TRUE(p.is_ok());
     arrivals.push_back(p.value().arrival_vt);
   }
@@ -501,7 +501,7 @@ TEST(Nic, ReliableRdmaWriteCompletesUnderAckLoss) {
     auto r = f->nic(0).rdma_write(ep0.value(), 1, mr.value(), 0, 256, data,
                                   0, /*op_id=*/100 + i);
     ASSERT_TRUE(r.is_ok());
-    auto e = f->nic(0).wait_event(ep0.value(), 1000);
+    auto e = f->nic(0).poll_event(ep0.value());
     ASSERT_TRUE(e.is_ok());
     EXPECT_EQ(e.value().type, Event::Type::kRdmaWriteComplete);
     EXPECT_EQ(e.value().op_id, unsigned(100 + i));
@@ -529,7 +529,7 @@ TEST(Nic, DeniedRmaFailsFastEvenWithReliabilityOn) {
                   .rdma_write(ep0.value(), 1, mr.value(), 12, 8, {}, 0,
                               /*op_id=*/31)
                   .is_ok());
-  auto e = f->nic(0).wait_event(ep0.value(), 1000);
+  auto e = f->nic(0).poll_event(ep0.value());
   ASSERT_TRUE(e.is_ok());
   EXPECT_EQ(e.value().type, Event::Type::kError);
   EXPECT_EQ(e.value().status.code(), Code::kInvalidArgument);
@@ -540,7 +540,7 @@ TEST(Nic, DeniedRmaFailsFastEvenWithReliabilityOn) {
                   .rdma_read(ep0.value(), 1, mr.value() + 999, 0, 8, 0,
                              /*op_id=*/32)
                   .is_ok());
-  e = f->nic(0).wait_event(ep0.value(), 1000);
+  e = f->nic(0).poll_event(ep0.value());
   ASSERT_TRUE(e.is_ok());
   EXPECT_EQ(e.value().type, Event::Type::kError);
   EXPECT_EQ(e.value().status.code(), Code::kNotFound);

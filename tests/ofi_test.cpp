@@ -61,7 +61,7 @@ TEST_F(OfiFixture, TaggedSendRecvWithPayload) {
                         std::as_bytes(std::span(msg)), sizeof(msg), /*vt=*/0)
                   .is_ok());
   std::array<std::byte, 64> buf{};
-  auto r = e1->trecv_sync(5, buf, 1000);
+  auto r = e1->trecv_sync(5, buf);
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value().size, sizeof(msg));
   EXPECT_EQ(r.value().tag, 5u);
@@ -76,11 +76,11 @@ TEST_F(OfiFixture, UnexpectedMessageMatchedLater) {
   ASSERT_TRUE(e0->tsend(e1->addr(), 10, {}, 8, 0).is_ok());
   ASSERT_TRUE(e0->tsend(e1->addr(), 20, {}, 8, 0).is_ok());
   // Receive tag 20 first: tag 10 must be preserved as unexpected.
-  auto r20 = e1->trecv_sync(20, {}, 1000);
+  auto r20 = e1->trecv_sync(20, {});
   ASSERT_TRUE(r20.is_ok());
   EXPECT_EQ(r20.value().tag, 20u);
   EXPECT_EQ(e1->unexpected_depth(), 1u);
-  auto r10 = e1->trecv_sync(10, {}, 1000);
+  auto r10 = e1->trecv_sync(10, {});
   ASSERT_TRUE(r10.is_ok());
   EXPECT_EQ(r10.value().tag, 10u);
 }
@@ -89,7 +89,7 @@ TEST_F(OfiFixture, WildcardReceive) {
   auto e0 = dom0->open_endpoint(kDefaultVni).value();
   auto e1 = dom1->open_endpoint(kDefaultVni).value();
   ASSERT_TRUE(e0->tsend(e1->addr(), 1234, {}, 8, 0).is_ok());
-  auto r = e1->trecv_sync(kTagAny, {}, 1000);
+  auto r = e1->trecv_sync(kTagAny, {});
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value().tag, 1234u);
 }
@@ -100,7 +100,7 @@ TEST_F(OfiFixture, PostedRecvCompletesThroughCq) {
   std::array<std::byte, 16> buf{};
   e1->post_trecv(7, buf, /*context=*/111);
   ASSERT_TRUE(e0->tsend(e1->addr(), 7, {}, 16, 0).is_ok());
-  auto c = e1->cq_sread(1000);
+  auto c = e1->cq_sread();
   ASSERT_TRUE(c.is_ok());
   EXPECT_EQ(c.value().kind, Completion::Kind::kRecv);
   EXPECT_EQ(c.value().context, 111u);
@@ -121,8 +121,8 @@ TEST_F(OfiFixture, SendCompletionOnlyWhenRequested) {
 
 TEST_F(OfiFixture, RecvTimesOut) {
   auto e0 = dom0->open_endpoint(kDefaultVni).value();
-  EXPECT_EQ(e0->trecv_sync(1, {}, 80).code(), Code::kTimeout);
-  EXPECT_EQ(e0->cq_sread(80).code(), Code::kTimeout);
+  EXPECT_EQ(e0->trecv_sync(1, {}).code(), Code::kTimeout);
+  EXPECT_EQ(e0->cq_sread().code(), Code::kTimeout);
 }
 
 TEST_F(OfiFixture, VirtualTimeAdvancesMonotonically) {
@@ -147,7 +147,7 @@ TEST_F(OfiFixture, RmaWriteSyncRoundTrip) {
   const char data[] = "one-sided";
   auto t = e0->rma_write_sync(1, mr.value(), 16,
                               std::as_bytes(std::span(data)), sizeof(data),
-                              0, 1000);
+                              0);
   ASSERT_TRUE(t.is_ok());
   EXPECT_GT(t.value(), 0);
   EXPECT_EQ(std::memcmp(window.data() + 16, data, sizeof(data)), 0);
@@ -163,7 +163,7 @@ TEST_F(OfiFixture, RmaReadSyncRoundTrip) {
   }
   auto mr = e1->mr_reg(window);
   std::vector<std::byte> out;
-  auto t = e0->rma_read_sync(1, mr.value(), 10, 4, out, 0, 1000);
+  auto t = e0->rma_read_sync(1, mr.value(), 10, 4, out, 0);
   ASSERT_TRUE(t.is_ok());
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0], std::byte{20});
@@ -193,14 +193,14 @@ TEST_F(OfiFixture, AsyncRmaCompletesThroughCq) {
   ASSERT_TRUE(rop.is_ok());
   EXPECT_NE(wop.value(), rop.value());
 
-  auto c1 = e0->cq_sread(1000);
+  auto c1 = e0->cq_sread();
   ASSERT_TRUE(c1.is_ok());
   EXPECT_EQ(c1.value().kind, Completion::Kind::kRmaWrite);
   EXPECT_EQ(c1.value().op_id, wop.value());
   EXPECT_TRUE(c1.value().status.is_ok());
   EXPECT_GT(c1.value().vt, 0);
 
-  auto c2 = e0->cq_sread(1000);
+  auto c2 = e0->cq_sread();
   ASSERT_TRUE(c2.is_ok());
   EXPECT_EQ(c2.value().kind, Completion::Kind::kRmaRead);
   EXPECT_EQ(c2.value().op_id, rop.value());
@@ -219,7 +219,7 @@ TEST_F(OfiFixture, AsyncRmaDenialSurfacesAsErrorCompletion) {
   // terminal kError completion for the op — fail-fast, not silence.
   auto op = e0->post_rma_write(1, mr.value(), 12, {}, 8, 0);
   ASSERT_TRUE(op.is_ok());
-  auto c = e0->cq_sread(1000);
+  auto c = e0->cq_sread();
   ASSERT_TRUE(c.is_ok());
   EXPECT_EQ(c.value().kind, Completion::Kind::kError);
   EXPECT_EQ(c.value().op_id, op.value());

@@ -134,7 +134,7 @@ TEST_P(SwitchIsolationProperty, DeliveryIffBothPortsAuthorized) {
     EXPECT_EQ(r.is_ok(), should_deliver)
         << "src=" << src << " dst=" << dst << " vni=" << vni;
     if (should_deliver) {
-      auto pkt = fabric->nic(dst).wait_rx(eps[{dst, vni}], 1000);
+      auto pkt = fabric->nic(dst).poll_rx(eps[{dst, vni}]);
       ASSERT_TRUE(pkt.is_ok());
       EXPECT_EQ(pkt.value().vni, vni);
     }

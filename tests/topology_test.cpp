@@ -87,7 +87,7 @@ TEST(Topology, EveryNicPairReachable) {
                                    /*tag=*/i * 100 + j, /*size=*/256, {},
                                    /*vt=*/0);
         ASSERT_TRUE(sent.is_ok()) << "send " << i << " -> " << j;
-        auto pkt = f->nic(static_cast<NicAddr>(j)).wait_rx(eps[j], 1000);
+        auto pkt = f->nic(static_cast<NicAddr>(j)).poll_rx(eps[j]);
         ASSERT_TRUE(pkt.is_ok()) << "recv " << i << " -> " << j;
         EXPECT_EQ(pkt.value().tag, i * 100 + j);
         const bool same_switch =
@@ -128,7 +128,7 @@ std::vector<std::pair<SimTime, int>> path_signature(
                       .post_send(eps[i], static_cast<NicAddr>(j), eps[j],
                                  /*tag=*/1, /*size=*/4096, {}, /*vt=*/0);
       EXPECT_TRUE(sent.is_ok());
-      auto pkt = f->nic(static_cast<NicAddr>(j)).wait_rx(eps[j], 1000);
+      auto pkt = f->nic(static_cast<NicAddr>(j)).poll_rx(eps[j]);
       EXPECT_TRUE(pkt.is_ok());
       sig.emplace_back(pkt.value().arrival_vt,
                        static_cast<int>(pkt.value().hops));
@@ -171,12 +171,12 @@ TEST(Topology, CrossSwitchLatencyExceedsSameSwitch) {
 
   ASSERT_TRUE(
       f->nic(0).post_send(eps[0], 1, eps[1], 1, 4096, {}, 0).is_ok());
-  auto same = f->nic(1).wait_rx(eps[1], 1000);
+  auto same = f->nic(1).poll_rx(eps[1]);
   ASSERT_TRUE(same.is_ok());
 
   ASSERT_TRUE(
       f->nic(0).post_send(eps[0], 4, eps[4], 1, 4096, {}, 0).is_ok());
-  auto cross = f->nic(4).wait_rx(eps[4], 1000);
+  auto cross = f->nic(4).poll_rx(eps[4]);
   ASSERT_TRUE(cross.is_ok());
 
   EXPECT_EQ(same.value().hops, 0);

@@ -30,7 +30,7 @@ struct TcFixture : ::testing::Test {
                            std::uint64_t size, SimTime vt) {
     auto r = fabric->nic(0).post_send(src, 1, dst, 1, size, {}, vt);
     EXPECT_TRUE(r.is_ok());
-    auto pkt = fabric->nic(1).wait_rx(dst, 1000);
+    auto pkt = fabric->nic(1).poll_rx(dst);
     EXPECT_TRUE(pkt.is_ok());
     return pkt.value().arrival_vt;
   }
@@ -73,7 +73,7 @@ TEST_F(TcFixture, BulkWaitsBehindItsOwnClass) {
   // The 8th bulk message arrives after ~8 serializations (~340 us).
   SimTime last = 0;
   for (int i = 0; i < 8; ++i) {
-    auto pkt = fabric->nic(1).wait_rx(bulk_dst, 1000);
+    auto pkt = fabric->nic(1).poll_rx(bulk_dst);
     ASSERT_TRUE(pkt.is_ok());
     last = std::max(last, pkt.value().arrival_vt);
   }
@@ -93,7 +93,7 @@ TEST_F(TcFixture, HigherPriorityClassDelaysBulk) {
   auto bulk = fabric->nic(0).post_send(bulk_src, 1, bulk_dst, 1, 4096, {},
                                        0);
   ASSERT_TRUE(bulk.is_ok());
-  auto pkt = fabric->nic(1).wait_rx(bulk_dst, 1000);
+  auto pkt = fabric->nic(1).poll_rx(bulk_dst);
   ASSERT_TRUE(pkt.is_ok());
   // Four 1 MiB messages serialize ~170 us; the bulk packet of a LOWER
   // priority class cannot jump that queue.
