@@ -1,6 +1,7 @@
 #include "core/vni_registry.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -41,6 +42,13 @@ void VniRegistry::audit(db::Transaction& txn, SimTime now,
                     static_cast<std::int64_t>(vni), detail});
 }
 
+void VniRegistry::set_free(hsn::Vni vni, bool free) {
+  if (vni < config_.vni_min || vni > config_.vni_max) return;
+  const hsn::Vni i = vni - config_.vni_min;
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  free_[i / 64] = free ? free_[i / 64] | bit : free_[i / 64] & ~bit;
+}
+
 Status VniRegistry::rebuild_index_locked() {
   if (db_.crashed()) {
     // snapshot() would serve the half-applied mid-crash tables; trusting
@@ -50,16 +58,15 @@ Status VniRegistry::rebuild_index_locked() {
   }
   auto rows = db_.snapshot(kAllocTable);
   if (!rows.is_ok()) return rows.status();
-  free_.clear();
+  const std::size_t span = config_.vni_max - config_.vni_min + 1;
+  free_.assign((span + 63) / 64, ~std::uint64_t{0});
+  free_.back() >>= (64 - span % 64) % 64;  // no bits past vni_max
   owners_.clear();
   quarantined_.clear();
   expiry_.clear();
-  for (hsn::Vni v = config_.vni_min; v <= config_.vni_max; ++v) {
-    free_.insert(v);
-  }
   for (const auto& [id, row] : rows.value()) {
     const auto vni = static_cast<hsn::Vni>(db::as_int(row[kColVni]));
-    free_.erase(vni);
+    set_free(vni, false);
     if (db::as_text(row[kColState]) == "allocated") {
       owners_.emplace(db::as_text(row[kColOwner]), AllocEntry{vni, id});
     } else {
@@ -93,9 +100,14 @@ Result<hsn::Vni> VniRegistry::acquire(const std::string& owner, SimTime now) {
     expired.emplace_back(it->second, quarantined_.at(it->second).row);
   }
 
-  // Lowest acquirable VNI: the free-list head or an expired quarantined
+  // Lowest acquirable VNI: the lowest free bit or an expired quarantined
   // VNI below it, matching the scan's lowest-free-wins order.
-  hsn::Vni granted = free_.empty() ? hsn::kInvalidVni : *free_.begin();
+  hsn::Vni granted = hsn::kInvalidVni;
+  for (std::size_t w = 0; w < free_.size(); ++w) {
+    if (free_[w] == 0) continue;
+    granted = config_.vni_min + 64 * w + std::countr_zero(free_[w]);
+    break;
+  }
   for (const auto& [vni, row] : expired) {
     if (granted == hsn::kInvalidVni || vni < granted) granted = vni;
   }
@@ -130,13 +142,13 @@ Result<hsn::Vni> VniRegistry::acquire(const std::string& owner, SimTime now) {
   // Commit landed: apply the same changes to the index.
   for (const auto& [vni, row] : expired) {
     quarantined_.erase(vni);
-    if (vni != granted) free_.insert(vni);
+    if (vni != granted) set_free(vni, true);
   }
   if (!expired.empty()) {
     expiry_.erase(expiry_.begin(),
                   expiry_.upper_bound(now - config_.quarantine));
   }
-  free_.erase(granted);
+  set_free(granted, false);
   owners_.emplace(owner, AllocEntry{granted, granted_row});
   return granted;
 }

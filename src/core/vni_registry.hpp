@@ -21,7 +21,7 @@
 // quarantined VNI must never be re-issued within that window.
 //
 // Hot path: the registry keeps an in-memory index over `vni_alloc` — a
-// free-list of acquirable VNIs, an owner -> allocation map, and a
+// bitmap of acquirable VNIs, an owner -> allocation map, and a
 // quarantine expiry queue — so an acquisition costs O(log n) instead of
 // a full table scan per request.  The database stays the ground truth:
 // index updates apply only after a successful commit, and any failed
@@ -32,7 +32,6 @@
 
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -115,8 +114,9 @@ class VniRegistry {
   /// the crash-recovery hook that keeps the index honest.
   bool index_stale_ = true;
   /// VNIs acquirable right now (allocated and in-window quarantined ones
-  /// excluded).  Ordered: acquisition grants the lowest, like the scan.
-  std::set<hsn::Vni> free_;
+  /// excluded): bit i is vni_min + i.  Acquisition grants the lowest.
+  std::vector<std::uint64_t> free_;
+  void set_free(hsn::Vni vni, bool free);
   std::unordered_map<std::string, AllocEntry> owners_;
   std::unordered_map<hsn::Vni, QuarantineEntry> quarantined_;
   /// Quarantine expiry queue (released_at -> vni) so GC pops only what
