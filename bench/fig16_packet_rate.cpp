@@ -98,20 +98,10 @@ SeriesResult run_series(hsn::RoutingPolicy policy, std::size_t nodes,
                                0);
     }
   };
-  // Bulk CQ drain where the NIC offers it (one lock per queue); poll
-  // loop otherwise.  Generic lambda so the same bench source compiles
-  // against trees whose NIC predates drain_rx.
-  const auto drain_one = [](auto* nic, hsn::EndpointId ep) {
-    if constexpr (requires { nic->drain_rx(ep); }) {
-      (void)nic->drain_rx(ep);
-    } else {
-      while (nic->poll_rx(ep).is_ok()) {
-      }
-    }
-  };
+  // Bulk CQ drain: one lock per queue, no per-packet move.
   const auto drain = [&] {
     for (std::size_t d = 0; d < nodes; ++d) {
-      drain_one(nics[d], eps[d]);
+      (void)nics[d]->drain_rx(eps[d]);
     }
   };
 
@@ -192,17 +182,9 @@ SeriesResult run_sharded_series(int threads, std::size_t nodes, int rounds,
                              eps[dst], tag, kPacketBytes, 0);
     }
   };
-  const auto drain_one = [](auto* nic, hsn::EndpointId ep) {
-    if constexpr (requires { nic->drain_rx(ep); }) {
-      (void)nic->drain_rx(ep);
-    } else {
-      while (nic->poll_rx(ep).is_ok()) {
-      }
-    }
-  };
   const auto drain = [&] {
     for (std::size_t d = 0; d < nodes; ++d) {
-      drain_one(nics[d], eps[d]);
+      (void)nics[d]->drain_rx(eps[d]);
     }
   };
 
@@ -308,19 +290,11 @@ RmaMixResult run_rma_mix_series(int threads, std::size_t nodes, int rounds,
       }
     }
   };
-  const auto drain_one = [](auto* nic, hsn::EndpointId ep) {
-    if constexpr (requires { nic->drain_rx(ep); }) {
-      (void)nic->drain_rx(ep);
-    } else {
-      while (nic->poll_rx(ep).is_ok()) {
-      }
-    }
-  };
   // RMA completions land on the event queue, not the RX ring — drain
   // both so neither grows across flush batches.
   const auto drain = [&] {
     for (std::size_t d = 0; d < nodes; ++d) {
-      drain_one(nics[d], eps[d]);
+      (void)nics[d]->drain_rx(eps[d]);
       while (nics[d]->poll_event(eps[d]).is_ok()) {
       }
     }

@@ -26,21 +26,6 @@ class Fabric {
                                         std::uint64_t seed = 0x51e6,
                                         TopologyConfig topology = {});
 
-  /// Switch 0 — *the* switch on a single-switch fabric.  Legacy accessor
-  /// for paper-testbed (2 nodes, 1 switch) call sites only: on a
-  /// multi-switch fabric "switch 0" is merely the first edge switch and
-  /// is the wrong ACL target for any NIC homed elsewhere — use
-  /// switch_for(addr) / switch_at(i) there.
-  [[nodiscard]] RosettaSwitch& fabric_switch() noexcept {
-    return *switches_.front();
-  }
-  [[nodiscard]] const RosettaSwitch& fabric_switch() const noexcept {
-    return *switches_.front();
-  }
-  /// Legacy single-switch companion of fabric_switch(); same caveat.
-  [[nodiscard]] std::shared_ptr<RosettaSwitch> switch_ptr() const noexcept {
-    return switches_.front();
-  }
   [[nodiscard]] std::shared_ptr<TimingModel> timing() const noexcept {
     return timing_;
   }

@@ -121,7 +121,7 @@ TEST(Nic, EndpointLimitEnforced) {
   // the unit-test form of the injection callback.
   CassiniNic nic(
       10,
-      [sw = f->switch_ptr()](Packet&& p) { return sw->route(std::move(p)); },
+      [sw = f->switch_for(0)](Packet&& p) { return sw->route(std::move(p)); },
       f->timing(), limits);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(nic.alloc_endpoint(1, TrafficClass::kBestEffort).is_ok());
@@ -134,7 +134,7 @@ TEST(Switch, CallbackDeliveryAndDisconnect) {
   // The generic DeliveryFn port path (custom rigs; Fabric-owned NICs
   // use the direct CassiniNic wiring instead) delivers and disconnects.
   auto f = Fabric::create(2);
-  auto sw = f->switch_ptr();
+  auto sw = f->switch_for(0);
   std::vector<Packet> got;
   ASSERT_TRUE(
       sw->connect(10, [&](Packet&& p) { got.push_back(std::move(p)); })
@@ -351,11 +351,11 @@ TEST(Nic, RxOverflowIsCountedTailDrop) {
   limits.max_rx_queue_packets = 4;
   CassiniNic rx_nic(
       10,
-      [sw = f->switch_ptr()](Packet&& p) { return sw->route(std::move(p)); },
+      [sw = f->switch_for(0)](Packet&& p) { return sw->route(std::move(p)); },
       f->timing(), limits);
-  ASSERT_TRUE(f->switch_ptr()->connect(10, rx_nic).is_ok());
-  ASSERT_TRUE(f->switch_ptr()->authorize_vni(0, 100).is_ok());
-  ASSERT_TRUE(f->switch_ptr()->authorize_vni(10, 100).is_ok());
+  ASSERT_TRUE(f->switch_for(0)->connect(10, rx_nic).is_ok());
+  ASSERT_TRUE(f->switch_for(0)->authorize_vni(0, 100).is_ok());
+  ASSERT_TRUE(f->switch_for(0)->authorize_vni(10, 100).is_ok());
   auto ep0 = f->nic(0).alloc_endpoint(100, TrafficClass::kBestEffort);
   auto ep1 = rx_nic.alloc_endpoint(100, TrafficClass::kBestEffort);
 

@@ -14,9 +14,9 @@ TEST(StackConfigTest, DefaultsMatchPaperDeployment) {
   EXPECT_EQ(stack.config().auth_mode, cxi::AuthMode::kNetnsExtended);
   EXPECT_EQ(to_seconds(stack.config().vni.quarantine), 30.0);
   EXPECT_EQ(stack.fabric().node_count(), 2u);
-  EXPECT_EQ(stack.fabric().fabric_switch().connected_ports(), 2u);
+  EXPECT_EQ(stack.fabric().switch_at(0).connected_ports(), 2u);
   // Enforcement on by default.
-  EXPECT_TRUE(stack.fabric().fabric_switch().enforcement());
+  EXPECT_TRUE(stack.fabric().switch_at(0).enforcement());
 }
 
 TEST(StackConfigTest, FourNodeCluster) {
