@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Gate the sharded engine's single-thread overhead from BENCH_fig16.json.
+"""Gate the sharded engine's single-thread overhead from fig16 artifacts.
 
-Reads the fig16 artifact and computes
+Reads one or more fig16 JSON artifacts (one per run) and computes, per
+artifact,
 
     ratio = packets_per_sec(ugal_t1) / packets_per_sec(ugal)
 
 i.e. the batched window executor at one inline thread against the legacy
 synchronous walk of the *same* 256-node dragonfly/UGAL scenario.  Fails
-(exit 1) if the ratio falls below --min-ratio, so a regression in the
-run-queue/pool/barrier machinery cannot land silently.
+(exit 1) if the median ratio falls below --min-ratio, so a regression in
+the run-queue/pool/barrier machinery cannot land silently.  Gating the
+median of several runs rather than one sample keeps a single noisy run
+from deciding the verdict in either direction.
 
 Threshold rationale: the design target is 0.50 (engine overhead <= 2x the
 synchronous series — see docs/performance.md, "Reading the fig16 threads
@@ -19,11 +22,13 @@ errors don't cancel.  The gate still has teeth: the pre-batching executor
 measured ~0.21.  Tighten with --min-ratio 0.45 on dedicated hardware.
 
 Usage:
-    tools/check_fig16_ratio.py BENCH_fig16.json [--min-ratio 0.40]
+    tools/check_fig16_ratio.py BENCH_fig16_1.json [BENCH_fig16_2.json ...]
+                               [--min-ratio 0.40]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -35,28 +40,38 @@ def pick_rate(records, series):
     return max(float(r["packets_per_sec"]) for r in rows)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("artifact", help="path to BENCH_fig16.json")
-    parser.add_argument("--min-ratio", type=float, default=0.40,
-                        help="fail if ugal_t1/ugal falls below this "
-                             "(default 0.40; design target 0.50)")
-    args = parser.parse_args()
-
-    with open(args.artifact, encoding="utf-8") as f:
+def ratio_of(path):
+    """ugal_t1/ugal for one artifact, or None if a series is missing."""
+    with open(path, encoding="utf-8") as f:
         records = json.load(f)
-
     sync = pick_rate(records, "ugal")
     t1 = pick_rate(records, "ugal_t1")
     if sync is None or t1 is None:
-        print(f"check_fig16_ratio: missing series in {args.artifact} "
+        print(f"check_fig16_ratio: missing series in {path} "
               f"(ugal={sync}, ugal_t1={t1})", file=sys.stderr)
+        return None
+    print(f"check_fig16_ratio: {path}: ugal_t1={t1:,.0f} pps, "
+          f"ugal={sync:,.0f} pps, ratio={t1 / sync:.3f}")
+    return t1 / sync
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("artifacts", nargs="+",
+                        help="fig16 JSON artifacts, one per run")
+    parser.add_argument("--min-ratio", type=float, default=0.40,
+                        help="fail if the median ugal_t1/ugal falls below "
+                             "this (default 0.40; design target 0.50)")
+    args = parser.parse_args()
+
+    ratios = [ratio_of(path) for path in args.artifacts]
+    if None in ratios:
         return 1
 
-    ratio = t1 / sync
+    ratio = statistics.median(ratios)
     verdict = "OK" if ratio >= args.min_ratio else "FAIL"
-    print(f"check_fig16_ratio: ugal_t1={t1:,.0f} pps, ugal={sync:,.0f} pps, "
-          f"ratio={ratio:.3f} (min {args.min_ratio:.2f}, "
+    print(f"check_fig16_ratio: median ratio={ratio:.3f} over "
+          f"{len(ratios)} run(s) (min {args.min_ratio:.2f}, "
           f"design target 0.50) -> {verdict}")
     if ratio < args.min_ratio:
         print("check_fig16_ratio: sharded t1 fell below the overhead gate; "
