@@ -544,7 +544,7 @@ class CassiniNic {
   std::atomic<EpSpine*> ep_spine_;
   std::vector<std::unique_ptr<EpSpine>> ep_spines_;  ///< all generations
   std::vector<std::unique_ptr<EpChunk>> ep_chunks_;  ///< stable chunk storage
-  std::vector<std::shared_ptr<Endpoint>> ep_owned_;  ///< alive until NIC dies
+  std::vector<std::shared_ptr<Endpoint>> ep_owned_;  ///< alive until ~CassiniNic
   std::unordered_map<RKey, MemRegion> mrs_;
   /// Relaxed atomics for the paths that hold no lock; the two
   /// per-packet counters (tx under mutex_, two-sided rx under the
