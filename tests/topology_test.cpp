@@ -2,14 +2,20 @@
 // correctness (every NIC pair reachable under each topology),
 // deterministic path selection for a fixed seed, cross-switch vs
 // same-switch latency ordering, edge VNI enforcement across switches,
-// and topology-aware pod placement through the full stack.
+// topology-aware pod placement through the full stack, and the published
+// routing-plan tables (pinned digests plus a BFS-reference property).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stack.hpp"
 #include "hsn/fabric.hpp"
+#include "util/rng.hpp"
 
 namespace shs::hsn {
 namespace {
@@ -248,6 +254,252 @@ TEST(Topology, SchedulerPrefersSameSwitchForSpreadGroups) {
   }
   EXPECT_EQ(nodes.size(), 4u);
   EXPECT_EQ(switches.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Published routing-plan tables
+
+/// The plan every switch currently routes by.
+std::shared_ptr<const CompiledPlan> published(Fabric& f) {
+  return f.manager().compiled_plan();
+}
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t fnv_mix(std::uint64_t h, const std::vector<T>& table) {
+  h = fnv_mix(h, table.size());
+  for (const T x : table) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)));
+  }
+  return h;
+}
+
+/// FNV-1a over the flat tables and version of a published plan: any
+/// change to a next hop, hop distance or candidate list changes it.
+template <typename Plan>
+std::uint64_t plan_digest(const Plan& plan) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv_mix(h, plan.version);
+  h = fnv_mix(h, plan.next_hop);
+  h = fnv_mix(h, plan.min_hops);
+  h = fnv_mix(h, plan.cand_begin);
+  h = fnv_mix(h, plan.cand);
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct PinnedTopology {
+  const char* name;
+  TopologyConfig config;
+  std::size_t nodes;
+  std::uint64_t seed;
+  std::pair<SwitchId, SwitchId> link;    ///< failed first, then restored
+  SwitchId victim;                       ///< failed switch
+  std::pair<SwitchId, SwitchId> link2;   ///< failed alongside the switch
+  /// Digests after: pristine, link down, link restored (full restore),
+  /// switch down, link+switch down, link restored (switch down), switch
+  /// restored (full restore).
+  std::vector<std::string> digests;
+};
+
+std::vector<PinnedTopology> pinned_topologies() {
+  TopologyConfig fat_tree;
+  fat_tree.kind = TopologyKind::kFatTree;
+  fat_tree.nodes_per_switch = 4;
+  fat_tree.spines = 3;  // 32 nodes -> 8 leaves + spines 8..10
+
+  TopologyConfig dragonfly;
+  dragonfly.kind = TopologyKind::kDragonfly;
+  dragonfly.nodes_per_switch = 4;
+  dragonfly.switches_per_group = 4;  // 64 nodes -> 16 switches, 4 groups
+  // (1, 4) is the global link between groups 0 and 1; (0, 2) is local.
+
+  return {
+      {"fat-tree-32", fat_tree, 32, 0xfa7, {0, 8}, 9, {1, 10},
+       {"0xc30a68b12a38a2e2", "0xaf5f05c614fc21ae", "0xda34aecd8c844880",
+        "0x4038c4f9ded935f7", "0xa2ed6a7cced4a14c", "0x56861dafb8164e49",
+        "0xe236bae6f952668c"}},
+      {"dragonfly-64", dragonfly, 64, 0xd2a6, {1, 4}, 6, {0, 2},
+       {"0x800abc6b782ea834", "0x0f2c666c84439189", "0xc839e3eebf295766",
+        "0x13532658766bc42a", "0xac47ab10c960e31a", "0x39f52e9e8dbf27d0",
+        "0x4197a973ef367cc2"}},
+      // 256 switches in 64 groups: the tenant-churn benchmark's fabric.
+      {"dragonfly-1024", dragonfly, 1024, 7919, {1, 4}, 6, {0, 2},
+       {"0xa42c93495cd0aeb9", "0xea8d58cc59b82150", "0x4103b73d277ea35b",
+        "0xdac9faf017f7ae63", "0xf5b9868b23d5a560", "0xc4008dc936b69011",
+        "0x66df84ccc419a127"}},
+  };
+}
+
+/// Pins the published plan tables through a fail/restore sequence, for
+/// every routing policy (the policy does not shape the tables, so all
+/// three must match the same digests).  A deliberate routing change
+/// re-pins from the digests the failure prints.
+TEST(PlanTables, PublishedDigestsArePinned) {
+  for (const PinnedTopology& t : pinned_topologies()) {
+    for (const RoutingPolicy policy :
+         {RoutingPolicy::kMinimal, RoutingPolicy::kValiant,
+          RoutingPolicy::kUgal}) {
+      SCOPED_TRACE(std::string(t.name) + "/" +
+                   std::string(routing_policy_name(policy)));
+      TopologyConfig config = t.config;
+      config.routing = policy;
+      auto f = Fabric::create(t.nodes, flat_timing(), t.seed, config);
+      std::vector<std::string> got;
+      auto record = [&] { got.push_back(hex(plan_digest(*published(*f)))); };
+      record();
+      ASSERT_TRUE(f->fail_link(t.link.first, t.link.second).is_ok());
+      record();
+      ASSERT_TRUE(f->restore_link(t.link.first, t.link.second).is_ok());
+      record();
+      ASSERT_TRUE(f->fail_switch(t.victim).is_ok());
+      record();
+      ASSERT_TRUE(f->fail_link(t.link2.first, t.link2.second).is_ok());
+      record();
+      ASSERT_TRUE(f->restore_link(t.link2.first, t.link2.second).is_ok());
+      record();
+      ASSERT_TRUE(f->restore_switch(t.victim).is_ok());
+      record();
+      EXPECT_EQ(got, t.digests);
+      EXPECT_EQ(published(*f)->version, 6u);
+    }
+  }
+}
+
+/// Reference distances by Floyd-Warshall over the surviving directed
+/// links; kUnreachableHops where no path exists.
+std::vector<std::vector<int>> reference_hops(
+    const std::vector<std::vector<SwitchId>>& adj) {
+  const std::size_t n = adj.size();
+  constexpr int kInf = TopologyPlan::kUnreachableHops;
+  std::vector<std::vector<int>> d(n, std::vector<int>(n, kInf));
+  for (std::size_t s = 0; s < n; ++s) {
+    d[s][s] = 0;
+    for (const SwitchId v : adj[s]) d[s][v] = 1;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (d[i][k] == kInf) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (d[k][j] != kInf) d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+      }
+    }
+  }
+  return d;
+}
+
+/// Random failure sets on small fabrics: the published plan's hop
+/// distances match Floyd-Warshall over the survivors, every candidate
+/// list is exactly the ascending set of neighbours one hop closer to the
+/// destination, and every static next hop is one of those candidates (or
+/// invalid when the destination is unreachable or the source is dead).
+/// Restoring everything republishes the pristine tables.
+TEST(PlanTables, ReplanMatchesFloydWarshallReference) {
+  TopologyConfig fat_tree;
+  fat_tree.kind = TopologyKind::kFatTree;
+  fat_tree.nodes_per_switch = 4;
+  fat_tree.spines = 3;
+  TopologyConfig dragonfly;
+  dragonfly.kind = TopologyKind::kDragonfly;
+  dragonfly.nodes_per_switch = 2;
+  dragonfly.switches_per_group = 3;  // 72 nodes -> 36 switches, 12 groups
+
+  const std::vector<std::pair<TopologyConfig, std::size_t>> fabrics = {
+      {fat_tree, 32}, {dragonfly, 72}};
+  for (const auto& [config, nodes] : fabrics) {
+    SCOPED_TRACE(std::string(topology_kind_name(config.kind)));
+    auto f = Fabric::create(nodes, flat_timing(), 0x5eed, config);
+    const auto base = f->manager().base_plan();
+    const std::size_t n = f->switch_count();
+    std::vector<std::pair<SwitchId, SwitchId>> cables;
+    for (const auto& link : base->links) {
+      if (link.from < link.to) cables.emplace_back(link.from, link.to);
+    }
+    const auto pristine = published(*f);
+    Rng rng(0xf10d + n);
+    for (int trial = 0; trial < 24; ++trial) {
+      SCOPED_TRACE(trial);
+      std::set<std::pair<SwitchId, SwitchId>> dead_cables;
+      std::set<SwitchId> dead_switches;
+      const std::size_t want_links = 1 + rng.next() % 4;
+      const std::size_t want_switches = rng.next() % 3;
+      while (dead_cables.size() < want_links) {
+        dead_cables.insert(cables[rng.next() % cables.size()]);
+      }
+      while (dead_switches.size() < want_switches) {
+        dead_switches.insert(static_cast<SwitchId>(rng.next() % n));
+      }
+      for (const auto& [a, b] : dead_cables) {
+        ASSERT_TRUE(f->fail_link(a, b).is_ok());
+      }
+      for (const SwitchId s : dead_switches) {
+        ASSERT_TRUE(f->fail_switch(s).is_ok());
+      }
+
+      std::vector<std::vector<SwitchId>> adj(n);
+      for (const auto& link : base->links) {
+        const auto cable = std::minmax(link.from, link.to);
+        if (dead_cables.contains({cable.first, cable.second}) ||
+            dead_switches.contains(link.from) ||
+            dead_switches.contains(link.to)) {
+          continue;
+        }
+        adj[link.from].push_back(link.to);
+      }
+      for (auto& row : adj) std::sort(row.begin(), row.end());
+      const auto ref = reference_hops(adj);
+
+      const auto plan = published(*f);
+      for (SwitchId s = 0; s < n; ++s) {
+        for (SwitchId d = 0; d < n; ++d) {
+          SCOPED_TRACE(std::to_string(s) + "->" + std::to_string(d));
+          ASSERT_EQ(plan->hops_between(s, d), ref[s][d]);
+          const auto cands = plan->candidates(s, d);
+          const bool reachable =
+              s != d && ref[s][d] != TopologyPlan::kUnreachableHops;
+          std::vector<SwitchId> want;
+          if (reachable) {
+            for (const SwitchId v : adj[s]) {
+              if (ref[v][d] == ref[s][d] - 1) want.push_back(v);
+            }
+          }
+          ASSERT_EQ(std::vector<SwitchId>(cands.begin(), cands.end()), want);
+          if (s == d) continue;
+          if (reachable) {
+            ASSERT_NE(std::find(want.begin(), want.end(), plan->next(s, d)),
+                      want.end());
+          } else {
+            ASSERT_EQ(plan->next(s, d), kInvalidSwitch);
+          }
+        }
+      }
+
+      for (const auto& [a, b] : dead_cables) {
+        ASSERT_TRUE(f->restore_link(a, b).is_ok());
+      }
+      for (const SwitchId s : dead_switches) {
+        ASSERT_TRUE(f->restore_switch(s).is_ok());
+      }
+      const auto restored = published(*f);
+      ASSERT_EQ(restored->next_hop, pristine->next_hop);
+      ASSERT_EQ(restored->min_hops, pristine->min_hops);
+      ASSERT_EQ(restored->cand_begin, pristine->cand_begin);
+      ASSERT_EQ(restored->cand, pristine->cand);
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 # stdout_digest.cmake — run a program and compare the SHA-256 of its
-# stdout with a pinned value.  Used by the `osu` ctest targets to hold the
-# OSU figure benches (fig5-fig8) to byte-identical output.
+# stdout with a pinned value.  The shs_stdout_digest ctest targets use it
+# to hold deterministic benches and examples to byte-identical output.
 #
 #   cmake -DCMD=<program> "-DARGS=a;b;c" -DEXPECT=<sha256 hex> \
 #         -P tools/stdout_digest.cmake
