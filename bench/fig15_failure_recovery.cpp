@@ -102,7 +102,8 @@ std::pair<hsn::SwitchId, hsn::SwitchId> global_link_on_path(
   hsn::SwitchId at = fabric.home_switch(src);
   const hsn::SwitchId home = fabric.home_switch(dst);
   while (at != home) {
-    const hsn::SwitchId next = plan->next_hop[at].at(home);
+    const hsn::SwitchId next = plan->next(at, home);
+    if (next == hsn::kInvalidSwitch) std::abort();  // no static route
     if (plan->group_of[at] != plan->group_of[next]) return {at, next};
     at = next;
   }
@@ -244,7 +245,7 @@ EpisodeResult run_fat_tree(int packets_per_src, std::uint64_t seed) {
   Episode ep("fat-tree-32", topo, 32, pattern, packets_per_src, seed);
 
   // The spine the static hash picked for the (leaf 0, leaf 1) aggregate.
-  const hsn::SwitchId victim = ep.fabric().plan()->next_hop[0].at(1);
+  const hsn::SwitchId victim = ep.fabric().plan()->next(0, 1);
   ep.run_window("baseline");
   ep.run_window("failure", [&] {
     if (!ep.fabric().fail_switch(victim).is_ok()) std::abort();

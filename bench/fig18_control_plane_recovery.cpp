@@ -110,7 +110,8 @@ std::pair<hsn::SwitchId, hsn::SwitchId> global_link_on_path(
   hsn::SwitchId at = fabric.home_switch(src);
   const hsn::SwitchId home = fabric.home_switch(dst);
   while (at != home) {
-    const hsn::SwitchId next = plan->next_hop[at].at(home);
+    const hsn::SwitchId next = plan->next(at, home);
+    if (next == hsn::kInvalidSwitch) std::abort();  // no static route
     if (plan->group_of[at] != plan->group_of[next]) return {at, next};
     at = next;
   }

@@ -1,8 +1,9 @@
 // micro_benchmarks.cpp — google-benchmark microbenchmarks of the hot
 // paths behind the figures: packet routing, endpoint authentication, VNI
-// acquisition, and DB transactions.  These quantify the real (host) cost
-// of the simulation substrate itself, and double as regression guards
-// for the code paths the figure benches exercise millions of times.
+// acquisition, DB transactions, and the fabric manager's replan.  These
+// quantify the real (host) cost of the simulation substrate itself, and
+// double as regression guards for the code paths the figure benches
+// exercise millions of times.
 #include <benchmark/benchmark.h>
 
 #include "core/vni_registry.hpp"
@@ -182,6 +183,47 @@ void BM_ShardEngineWindowFlush(benchmark::State& state) {
                           static_cast<std::int64_t>(nodes));
 }
 BENCHMARK(BM_ShardEngineWindowFlush);
+
+void BM_FabricManagerRepair(benchmark::State& state) {
+  // The fabric manager's replan-and-publish path on a dragonfly at 4 NICs
+  // per switch and 4 switches per group (the tenant-churn benchmark's
+  // fabric at 1024 nodes): fail a global link and repair, then restore it
+  // and repair.  Each iteration is two repairs — a BFS replan around the
+  // failure and a full restore — each published to every switch.
+  hsn::TopologyConfig topo;
+  topo.kind = hsn::TopologyKind::kDragonfly;
+  topo.routing = hsn::RoutingPolicy::kUgal;
+  topo.nodes_per_switch = 4;
+  topo.switches_per_group = 4;
+  auto fabric = hsn::Fabric::create(
+      static_cast<std::size_t>(state.range(0)), {}, 7919, topo);
+  hsn::FabricManager& fm = fabric->manager();
+  fm.set_auto_repair(false);
+  // (1, 4) is the global link between groups 0 and 1.
+  for (auto _ : state) {
+    (void)fm.fail_link(1, 4);
+    benchmark::DoNotOptimize(fm.repair());
+    (void)fm.restore_link(1, 4);
+    benchmark::DoNotOptimize(fm.repair());
+  }
+  state.SetItemsProcessed(2 * static_cast<std::int64_t>(state.iterations()));
+  // Routing state one published plan holds, per switch it routes.
+  const auto plan = fm.plan();
+  const std::size_t bytes =
+      plan->next_hop.size() * sizeof(hsn::SwitchId) +
+      plan->min_hops.size() * sizeof(std::int32_t) +
+      plan->cand_begin.size() * sizeof(std::uint32_t) +
+      plan->cand.size() * sizeof(hsn::SwitchId) +
+      plan->group_of.size() * sizeof(hsn::SwitchId) +
+      plan->links.size() * sizeof(hsn::TopologyPlan::PlannedLink);
+  state.counters["switches"] = static_cast<double>(plan->switch_count);
+  state.counters["plan_bytes_per_switch"] =
+      static_cast<double>(bytes) / static_cast<double>(plan->switch_count);
+}
+BENCHMARK(BM_FabricManagerRepair)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RdmaWriteRoundTrip(benchmark::State& state) {
   auto fabric = hsn::Fabric::create(2);

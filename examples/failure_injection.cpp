@@ -148,7 +148,7 @@ void data_plane_scenarios() {
               send_once(1).status().to_string().c_str());
 
   const hsn::SwitchId spine =
-      stack.fabric().plan()->next_hop[leaf_a].at(leaf_b);
+      stack.fabric().plan()->next(leaf_a, leaf_b);
   (void)stack.fail_switch(spine);
   std::printf("    spine %u FAILED; send in the detection window: %s\n",
               spine, send_once(2).status().to_string().c_str());

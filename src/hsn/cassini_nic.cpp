@@ -371,7 +371,7 @@ RouteResult CassiniNic::inject_reliable(Packet& proto, SimTime& vt_io) {
       // backed-off time — and, crucially, re-enters the fabric through
       // Fabric::inject, which always routes by the manager's currently
       // published tables: a retransmit straddling a replan picks up the
-      // new CompiledPlan automatically.
+      // new plan automatically.
       std::lock_guard<SpinLock> lock(mutex_);
       proto.inject_vt = schedule_tx_locked(vt_io, proto.tc, proto.ser_cache);
       ++tx_packets_;

@@ -135,7 +135,7 @@ struct ReliabilityCounters {
   std::uint64_t budget_exhausted = 0;   ///< ops failed after max_retries
   std::uint64_t recovered = 0;          ///< ops that needed >= 1 retry
   /// Recovered ops whose successful attempt routed on a newer
-  /// CompiledPlan than their first try — packets lost in the
+  /// plan version than their first try — packets lost in the
   /// failure->replan window and carried across it by retransmission.
   std::uint64_t recovered_after_replan = 0;
 };

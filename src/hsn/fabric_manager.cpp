@@ -43,8 +43,7 @@ FabricManager::FabricManager(
     std::shared_ptr<const std::vector<SwitchId>> nic_home,
     TopologyPlan base_plan)
     : switches_(std::move(switches)), nic_home_(std::move(nic_home)),
-      base_(std::make_shared<const TopologyPlan>(std::move(base_plan))),
-      current_(base_),
+      base_(std::make_shared<TopologyPlan>(std::move(base_plan))),
       committed_epoch_cell_(
           std::make_shared<std::atomic<std::uint64_t>>(0)) {
   std::vector<std::set<SwitchId>> neighbors(switches_.size());
@@ -61,12 +60,12 @@ FabricManager::FabricManager(
   for (const auto& sw : switches_) {
     sw->set_committed_epoch_source(committed_epoch_cell_);
   }
-  publish_locked();
+  publish_locked(base_, /*recovery=*/false);
 }
 
 void FabricManager::apply_to_switch_locked(SwitchId sw) {
-  switches_[sw]->set_forwarding(
-      nic_home_, std::shared_ptr<const CompiledPlan>(live_compiled_));
+  switches_[sw]->set_forwarding(nic_home_,
+                                std::shared_ptr<const TopologyPlan>(live_));
 }
 
 void FabricManager::stage_publish_locked() {
@@ -90,23 +89,24 @@ void FabricManager::stage_publish_locked() {
   publish_pending_.store(true, std::memory_order_relaxed);
 }
 
-void FabricManager::publish_locked() {
-  std::shared_ptr<CompiledPlan> target;
-  if (retired_compiled_ != nullptr && retired_compiled_.use_count() == 1) {
-    // Every switch swapped off this snapshot at the previous publish —
-    // recycle its table buffers instead of allocating fresh ones.
-    target = std::move(retired_compiled_);
-  } else {
-    target = std::make_shared<CompiledPlan>();
+std::shared_ptr<TopologyPlan> FabricManager::spare_plan_locked() {
+  if (retired_ != nullptr && retired_.use_count() == 1) {
+    return std::move(retired_);
   }
-  current_->compile_into(*target);
-  retired_compiled_ = std::move(live_compiled_);
-  live_compiled_ = std::move(target);
+  return std::make_shared<TopologyPlan>();
+}
+
+void FabricManager::publish_locked(std::shared_ptr<TopologyPlan> plan,
+                                   bool recovery) {
+  retired_ = std::move(live_);
+  live_ = std::move(plan);
   // Commit the epoch before any switch applies it: from this instant a
   // lagging switch can tell that its plan is stale (epoch fencing).
-  committed_epoch_cell_->store(live_compiled_->version,
-                               std::memory_order_relaxed);
-  if (stagger_.enabled) {
+  committed_epoch_cell_->store(live_->version, std::memory_order_relaxed);
+  if (recovery) {
+    pending_applies_.clear();
+    publish_pending_.store(false, std::memory_order_relaxed);
+  } else if (stagger_.enabled) {
     stage_publish_locked();
     if (crash_profile_.point == CrashPoint::kMidPublish) {
       // Waves staged, none drained: the restart completes the publish.
@@ -123,25 +123,6 @@ void FabricManager::publish_locked() {
     }
     apply_to_switch_locked(sw->id());
     ++applied;
-  }
-}
-
-void FabricManager::publish_all_now_locked() {
-  std::shared_ptr<CompiledPlan> target;
-  if (retired_compiled_ != nullptr && retired_compiled_.use_count() == 1) {
-    target = std::move(retired_compiled_);
-  } else {
-    target = std::make_shared<CompiledPlan>();
-  }
-  current_->compile_into(*target);
-  retired_compiled_ = std::move(live_compiled_);
-  live_compiled_ = std::move(target);
-  committed_epoch_cell_->store(live_compiled_->version,
-                               std::memory_order_relaxed);
-  pending_applies_.clear();
-  publish_pending_.store(false, std::memory_order_relaxed);
-  for (const auto& sw : switches_) {
-    apply_to_switch_locked(sw->id());
   }
 }
 
@@ -319,13 +300,13 @@ std::uint64_t FabricManager::repair_locked() {
     return version_;
   }
   version_ = next_version;
-  current_ = std::make_shared<const TopologyPlan>(
-      base_->replan(failures_, version_, &replan_scratch_));
+  std::shared_ptr<TopologyPlan> plan = spare_plan_locked();
+  base_->replan(failures_, version_, replan_scratch_, *plan);
   if (crash_profile_.point == CrashPoint::kBeforePublish) {
     enter_crash_locked();
     return version_;
   }
-  publish_locked();
+  publish_locked(std::move(plan), /*recovery=*/false);
   if (crashed_) return version_;  // kMidPublish fired inside
   ++replans_;
   repair_pending_ = false;
@@ -514,14 +495,15 @@ Status FabricManager::restart() {
   //    swap: every switch converges on the last *committed* epoch.
   version_ = last_version;
   replans_ = publish_count;
-  current_ = last_version == 0
-                 ? base_
-                 : std::make_shared<const TopologyPlan>(base_->replan(
-                       published_failures, last_version, &replan_scratch_));
+  std::shared_ptr<TopologyPlan> plan = base_;
+  if (last_version != 0) {
+    plan = spare_plan_locked();
+    base_->replan(published_failures, last_version, replan_scratch_, *plan);
+  }
   crashed_ = false;
   crash_profile_ = ControlPlaneFaultProfile{};
   ++publish_seq_;  // scheduled waves from before the crash are stale
-  publish_all_now_locked();
+  publish_locked(std::move(plan), /*recovery=*/true);
   // 5. Journal the swept delta so a *second* crash/restart still
   //    recovers the full failure set from the journal alone.
   journal_rows_locked(sweep_delta);
@@ -560,12 +542,7 @@ bool FabricManager::link_up(SwitchId a, SwitchId b) const {
 
 std::shared_ptr<const TopologyPlan> FabricManager::plan() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  return current_;
-}
-
-std::shared_ptr<const CompiledPlan> FabricManager::compiled_plan() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return live_compiled_;
+  return live_;
 }
 
 std::uint64_t FabricManager::plan_version() const {

@@ -14,7 +14,8 @@
 //     dropped_link_down — the in-flight loss window real fabrics see);
 //   * repair() derives a new TopologyPlan version from the pristine
 //     build via TopologyPlan::replan (BFS over surviving links, seeded
-//     next-hop re-derivation) and pushes it to every switch;
+//     next-hop re-derivation) into a recycled snapshot and pushes it to
+//     every switch;
 //   * with auto-repair on (the default, for direct Fabric users) every
 //     injection/restore repairs synchronously; the SlingshotStack turns
 //     it off and schedules repair() after a configurable detection +
@@ -27,7 +28,7 @@
 //     atomic everywhere-at-once swap to per-switch apply waves with a
 //     seeded per-switch delay.  The fabric manager first *commits* the
 //     new epoch (a shared atomic every switch reads), then applies the
-//     compiled plan switch by switch — drivers drain the waves either at
+//     plan snapshot switch by switch — drivers drain the waves either at
 //     ShardEngine barriers (apply_next_publish_wave) or from the event
 //     loop (apply_publishes_older_than).  While a switch's applied plan
 //     lags the committed epoch, its epoch-curable drops are counted as
@@ -197,7 +198,8 @@ class FabricManager {
   // -- Observation.
   [[nodiscard]] SwitchHealth switch_health(SwitchId s) const;
   [[nodiscard]] bool link_up(SwitchId a, SwitchId b) const;
-  /// The currently published plan (never null).
+  /// The currently published plan — the snapshot switches route by once
+  /// they have applied it (never null).
   [[nodiscard]] std::shared_ptr<const TopologyPlan> plan() const;
   /// The pristine version-0 plan — the fabric's ground-truth cabling,
   /// immutable for the manager's lifetime (no lock needed).  Failure
@@ -208,9 +210,6 @@ class FabricManager {
       const noexcept {
     return base_;
   }
-  /// The flat-table compilation of the published plan — what switches
-  /// route by (never null; same version as plan()).
-  [[nodiscard]] std::shared_ptr<const CompiledPlan> compiled_plan() const;
   [[nodiscard]] std::uint64_t plan_version() const;
   /// Repairs published so far (0 on a healthy-from-birth fabric).
   [[nodiscard]] std::size_t replans() const;
@@ -230,17 +229,17 @@ class FabricManager {
   /// physical link (a, b) to the owning switches.  Caller holds mutex_.
   void sync_link_state_locked(SwitchId a, SwitchId b);
   std::uint64_t repair_locked();
-  /// Compiles `current_` into flat tables, commits the epoch, and either
-  /// swaps the snapshot into every switch (instant mode) or stages
-  /// per-switch apply waves (stagger mode).  Reuses the retired compiled
-  /// buffers from two publishes ago when no switch references them
-  /// anymore.  Honors an armed kMidPublish crash.  Caller holds mutex_.
-  void publish_locked();
-  /// Instant-mode publish of `current_` to every switch, no crash
-  /// points, clearing any staged waves — the restart recovery path.
-  /// Caller holds mutex_.
-  void publish_all_now_locked();
-  /// Installs the live compiled snapshot on switch `sw`.  Caller holds
+  /// A snapshot to replan into: the retired one when no switch (or
+  /// caller) references it anymore, so steady-state republishing
+  /// allocates nothing new; a fresh one otherwise.  Caller holds mutex_.
+  [[nodiscard]] std::shared_ptr<TopologyPlan> spare_plan_locked();
+  /// Makes `plan` the published snapshot, commits its epoch, and either
+  /// swaps it into every switch (instant mode) or stages per-switch
+  /// apply waves (stagger mode), honoring an armed kMidPublish crash.
+  /// `recovery` (the restart path) always publishes instantly and
+  /// clears any staged waves.  Caller holds mutex_.
+  void publish_locked(std::shared_ptr<TopologyPlan> plan, bool recovery);
+  /// Installs the published snapshot on switch `sw`.  Caller holds
   /// mutex_.
   void apply_to_switch_locked(SwitchId sw);
   /// Stages one PendingApply per switch with its seeded delay, sorted by
@@ -259,19 +258,19 @@ class FabricManager {
   std::vector<std::shared_ptr<RosettaSwitch>> switches_;
   std::shared_ptr<const std::vector<SwitchId>> nic_home_;
   /// Pristine wiring, version 0 — also the initially published plan.
-  const std::shared_ptr<const TopologyPlan> base_;
+  /// Never written after construction; holding it here also keeps it out
+  /// of recycling.
+  const std::shared_ptr<TopologyPlan> base_;
   /// Directed link keys of base_.links — O(1) existence checks.
   std::unordered_set<std::uint64_t> link_keys_;
   /// Physical neighbors per switch (each cable listed once per end),
   /// ascending — one sync per cable on switch fail/restore.
   std::vector<std::vector<SwitchId>> adjacent_;
-  std::shared_ptr<const TopologyPlan> current_;
-  /// Compiled snapshot currently installed on every switch, and the
-  /// previous one — once all switches have swapped, `retired_` is the
-  /// only owner left and its buffers are recycled at the next publish
-  /// (steady-state republishing allocates nothing new).
-  std::shared_ptr<CompiledPlan> live_compiled_;
-  std::shared_ptr<CompiledPlan> retired_compiled_;
+  /// The published snapshot, and the one it replaced — once every switch
+  /// has swapped off it, `retired_` is the only owner left and the next
+  /// replan writes into its buffers.
+  std::shared_ptr<TopologyPlan> live_;
+  std::shared_ptr<TopologyPlan> retired_;
   /// BFS/adjacency workspace reused across replans.
   PlanScratch replan_scratch_;
   FailureSet failures_;

@@ -90,7 +90,7 @@ struct SwitchCounters {
   /// Packets that could only make progress under a plan epoch the fabric
   /// manager has committed but this switch has not applied yet (the
   /// staggered-publish window): the drop site saw no route / a dead next
-  /// hop while its CompiledPlan version lagged the committed epoch.
+  /// hop while its plan version lagged the committed epoch.
   /// Counted, never silent — retransmits carry the op across the epoch.
   std::uint64_t dropped_stale_epoch = 0;
   /// Reliable packets that WERE delivered but whose link-level ACK was

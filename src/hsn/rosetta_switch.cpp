@@ -118,7 +118,7 @@ Status RosettaSwitch::add_uplink(RosettaSwitch& peer, DataRate rate,
 
 void RosettaSwitch::set_forwarding(
     std::shared_ptr<const std::vector<SwitchId>> nic_home,
-    std::shared_ptr<const CompiledPlan> plan) {
+    std::shared_ptr<const TopologyPlan> plan) {
   std::lock_guard<SpinLock> lock(mutex_);
   nic_home_ = std::move(nic_home);
   plan_ = std::move(plan);
@@ -330,7 +330,8 @@ SwitchId RosettaSwitch::least_lag_candidate_locked(const Packet& p,
                                                    SwitchId target,
                                                    SimDuration* lag_out) {
   if (lag_out != nullptr) *lag_out = 0;
-  if (plan_ == nullptr || id_ >= plan_->n || target >= plan_->n) {
+  if (plan_ == nullptr || id_ >= plan_->switch_count ||
+      target >= plan_->switch_count) {
     return static_next_locked(target);
   }
   const auto cands = plan_->candidates(id_, target);
@@ -422,7 +423,8 @@ SwitchId RosettaSwitch::choose_route_locked(Packet& p, SwitchId home,
       // uniform random among the live minimal candidates — random spine
       // selection that excludes dead uplinks.  Counting pass, no
       // allocation: this runs per packet on the healthy hot path.
-      if (plan_ != nullptr && id_ < plan_->n && home < plan_->n) {
+      if (plan_ != nullptr && id_ < plan_->switch_count &&
+          home < plan_->switch_count) {
         const auto cands = plan_->candidates(id_, home);
         if (!cands.empty()) {
           std::size_t alive = 0;

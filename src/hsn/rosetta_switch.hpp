@@ -24,7 +24,7 @@
 // section under mutex_ is branch-and-array-only — no hashing, no
 // allocation, no logging.  Ports and uplinks live in dense vectors
 // indexed by NicAddr / peer SwitchId; routing state is an immutable
-// CompiledPlan of flat tables; per-VNI counters are pre-resolved slabs
+// TopologyPlan snapshot of flat tables; per-VNI counters are pre-resolved slabs
 // (per-port cached pointers for the edge checks, a sorted slab index
 // for transit), created only on the cold authorize/first-drop paths.
 //
@@ -148,13 +148,13 @@ class RosettaSwitch {
   /// pointers here would form A<->B cycles and leak the whole topology).
   Status add_uplink(RosettaSwitch& peer, DataRate rate,
                     SimDuration latency);
-  /// Installs the NIC-home map and the compiled routing tables this
-  /// switch routes by: its static next-hop row, the minimal-candidate
-  /// sets and hop distances adaptive policies consult, and the routing
-  /// policy itself.  Both shared and immutable; the fabric manager swaps
-  /// in a freshly compiled snapshot on every republish.
+  /// Installs the NIC-home map and the routing plan this switch routes
+  /// by: its static next-hop row, the minimal-candidate sets and hop
+  /// distances adaptive policies consult, and the routing policy itself.
+  /// Both shared and immutable; the fabric manager swaps in a new
+  /// snapshot on every republish.
   void set_forwarding(std::shared_ptr<const std::vector<SwitchId>> nic_home,
-                      std::shared_ptr<const CompiledPlan> plan);
+                      std::shared_ptr<const TopologyPlan> plan);
 
   /// Fabric-manager plane: grants/revokes VNI access on a port.  In the
   /// real system the fabric manager programs this; in ours the CXI driver
@@ -377,7 +377,8 @@ class RosettaSwitch {
   /// Static minimal next hop toward switch `target` (kInvalidSwitch if
   /// the table has no entry).  Caller holds mutex_.
   [[nodiscard]] SwitchId static_next_locked(SwitchId target) const noexcept {
-    return plan_ != nullptr && id_ < plan_->n && target < plan_->n
+    return plan_ != nullptr && id_ < plan_->switch_count &&
+                   target < plan_->switch_count
                ? plan_->next(id_, target)
                : kInvalidSwitch;
   }
@@ -438,9 +439,9 @@ class RosettaSwitch {
   std::vector<Uplink> uplinks_;
   std::size_t uplink_count_ = 0;
   std::shared_ptr<const std::vector<SwitchId>> nic_home_;
-  /// Compiled routing tables (static next hops, minimal candidates, hop
+  /// Routing tables (static next hops, minimal candidates, hop
   /// distances, policy).  Null until set_forwarding — local-only switch.
-  std::shared_ptr<const CompiledPlan> plan_;
+  std::shared_ptr<const TopologyPlan> plan_;
   /// Fabric manager's committed plan epoch (see
   /// set_committed_epoch_source).  Null on legacy rigs — stale-epoch
   /// reclassification is then disabled entirely.  Guarded by mutex_

@@ -1,7 +1,6 @@
 #include "hsn/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "util/rng.hpp"
 
@@ -16,71 +15,79 @@ std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// minimal next hops per (switch, destination).  Topology-agnostic, so
 /// every builder (and any future topology) gets correct candidate sets
 /// for free.  A non-null `failures` filter excludes dead links and
-/// switches from the graph — the fabric-manager re-plan path, which
-/// also passes a `scratch` so repeated republishes reuse the adjacency
-/// and distance workspace instead of re-allocating it.
-void finalize_routing_metadata(TopologyPlan& plan,
-                               const FailureSet* failures = nullptr,
-                               PlanScratch* scratch = nullptr) {
+/// switches from the graph — the fabric-manager re-plan path.
+void finalize_routing_metadata(TopologyPlan& plan, PlanScratch& ws,
+                               const FailureSet* failures = nullptr) {
   const std::size_t n = plan.switch_count;
-  PlanScratch local;
-  PlanScratch& ws = scratch != nullptr ? *scratch : local;
-  ws.out.resize(n);
-  for (auto& neighbors : ws.out) neighbors.clear();
+  constexpr std::int32_t kUnreachable = TopologyPlan::kUnreachableHops;
+
+  // Sorted CSR adjacency of the surviving links: count per source, fill
+  // through the running offsets, then shift the offsets back one row.
+  ws.adj_begin.assign(n + 1, 0);
+  auto alive = [&](const TopologyPlan::PlannedLink& link) {
+    return failures == nullptr || !failures->link_dead(link.from, link.to);
+  };
   for (const TopologyPlan::PlannedLink& link : plan.links) {
-    if (failures != nullptr && failures->link_dead(link.from, link.to)) {
-      continue;
-    }
-    ws.out[link.from].push_back(link.to);
+    if (alive(link)) ++ws.adj_begin[link.from + 1];
   }
-  for (auto& neighbors : ws.out) {
-    std::sort(neighbors.begin(), neighbors.end());
+  for (std::size_t s = 0; s < n; ++s) ws.adj_begin[s + 1] += ws.adj_begin[s];
+  ws.adj.resize(ws.adj_begin[n]);
+  for (const TopologyPlan::PlannedLink& link : plan.links) {
+    if (alive(link)) ws.adj[ws.adj_begin[link.from]++] = link.to;
+  }
+  for (std::size_t s = n; s > 0; --s) ws.adj_begin[s] = ws.adj_begin[s - 1];
+  ws.adj_begin[0] = 0;
+  const auto neighbors = [&](std::size_t s) {
+    return std::span<SwitchId>(ws.adj.data() + ws.adj_begin[s],
+                               ws.adj.data() + ws.adj_begin[s + 1]);
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto row = neighbors(s);
+    std::sort(row.begin(), row.end());
   }
 
-  plan.min_hops.assign(n, {});
-  ws.dist.resize(n);
+  // One BFS per source, straight into row `s` of min_hops.  The source's
+  // own cell marks it visited during the search and is reset to the
+  // unreachable sentinel afterwards (hops_between answers s == s).
+  plan.min_hops.assign(n * n, kUnreachable);
+  ws.queue.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
-    plan.min_hops[s].reserve(n > 0 ? n - 1 : 0);
-    std::fill(ws.dist.begin(), ws.dist.end(), -1);
-    ws.dist[s] = 0;
-    ws.queue.clear();
-    ws.queue.push_back(static_cast<SwitchId>(s));
-    while (!ws.queue.empty()) {
-      const SwitchId u = ws.queue.front();
-      ws.queue.pop_front();
-      for (const SwitchId v : ws.out[u]) {
-        if (ws.dist[v] >= 0) continue;
-        ws.dist[v] = ws.dist[u] + 1;
-        ws.queue.push_back(v);
+    std::int32_t* dist = plan.min_hops.data() + s * n;
+    dist[s] = 0;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    ws.queue[tail++] = static_cast<SwitchId>(s);
+    while (head < tail) {
+      const SwitchId u = ws.queue[head++];
+      for (const SwitchId v : neighbors(u)) {
+        if (dist[v] != kUnreachable) continue;
+        dist[v] = dist[u] + 1;
+        ws.queue[tail++] = v;
       }
     }
+    dist[s] = kUnreachable;
+  }
+
+  // Neighbour v of s starts a minimal route toward d iff
+  // dist(v, d) == dist(s, d) - 1.  Cells fill in (s, d) order over
+  // ascending neighbours, so candidate lists are deterministically
+  // ordered.
+  plan.cand_begin.resize(n * n + 1);
+  plan.cand.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::int32_t* row = plan.min_hops.data() + s * n;
     for (std::size_t d = 0; d < n; ++d) {
-      if (d != s && ws.dist[d] > 0) {
-        plan.min_hops[s][static_cast<SwitchId>(d)] = ws.dist[d];
+      plan.cand_begin[s * n + d] = static_cast<std::uint32_t>(plan.cand.size());
+      const std::int32_t hops = row[d];
+      if (hops == kUnreachable) continue;
+      for (const SwitchId v : neighbors(s)) {
+        const std::int32_t rest =
+            v == d ? 0 : plan.min_hops[static_cast<std::size_t>(v) * n + d];
+        if (rest == hops - 1) plan.cand.push_back(v);
       }
     }
   }
-
-  // neighbor v of s starts a minimal route toward d iff
-  // dist(v, d) == dist(s, d) - 1.  Neighbors are visited in ascending id
-  // order, so candidate lists are deterministically ordered.
-  plan.candidates.assign(n, {});
-  for (std::size_t s = 0; s < n; ++s) {
-    plan.candidates[s].reserve(plan.min_hops[s].size());
-    for (const auto& [d, hops] : plan.min_hops[s]) {
-      auto& list = plan.candidates[s][d];
-      for (const SwitchId v : ws.out[s]) {
-        if (v == d && hops == 1) {
-          list.push_back(v);
-        } else if (v != d) {
-          const auto vd = plan.min_hops[v].find(d);
-          if (vd != plan.min_hops[v].end() && vd->second == hops - 1) {
-            list.push_back(v);
-          }
-        }
-      }
-    }
-  }
+  plan.cand_begin[n * n] = static_cast<std::uint32_t>(plan.cand.size());
 }
 
 TopologyPlan build_single(std::size_t nodes) {
@@ -88,7 +95,6 @@ TopologyPlan build_single(std::size_t nodes) {
   plan.kind = TopologyKind::kSingleSwitch;
   plan.switch_count = 1;
   plan.nic_home.assign(nodes, 0);
-  plan.next_hop.resize(1);
   return plan;
 }
 
@@ -105,12 +111,12 @@ TopologyPlan build_fat_tree(const TopologyConfig& config, std::size_t nodes,
   if (leaves == 1) {
     // Degenerates to a single switch; no spine layer needed.
     plan.switch_count = 1;
-    plan.next_hop.resize(1);
     return plan;
   }
   const std::size_t spines = std::max<std::size_t>(1, config.spines);
-  plan.switch_count = leaves + spines;
-  plan.next_hop.resize(plan.switch_count);
+  const std::size_t n = leaves + spines;
+  plan.switch_count = n;
+  plan.next_hop.assign(n * n, kInvalidSwitch);
 
   for (std::size_t l = 0; l < leaves; ++l) {
     for (std::size_t s = 0; s < spines; ++s) {
@@ -137,16 +143,14 @@ TopologyPlan build_fat_tree(const TopologyConfig& config, std::size_t nodes,
                   static_cast<std::uint64_t>(d));
       const std::size_t spine =
           leaves + static_cast<std::size_t>(Rng(pair_key).next() % spines);
-      plan.next_hop[l][static_cast<SwitchId>(d)] =
-          static_cast<SwitchId>(spine);
+      plan.next_hop[l * n + d] = static_cast<SwitchId>(spine);
     }
   }
   // Every spine knows the down-route to every leaf — adaptive policies
   // may send traffic through spines the static hash never picks.
   for (std::size_t s = 0; s < spines; ++s) {
     for (std::size_t d = 0; d < leaves; ++d) {
-      plan.next_hop[leaves + s][static_cast<SwitchId>(d)] =
-          static_cast<SwitchId>(d);
+      plan.next_hop[(leaves + s) * n + d] = static_cast<SwitchId>(d);
     }
   }
   return plan;
@@ -162,16 +166,19 @@ TopologyPlan build_dragonfly(const TopologyConfig& config,
   plan.kind = TopologyKind::kDragonfly;
   // Round up to whole groups so every gateway index exists (trailing
   // switches simply host no NICs).
-  plan.switch_count = groups * a;
-  plan.group_of.resize(plan.switch_count);
-  for (std::size_t s = 0; s < plan.switch_count; ++s) {
+  const std::size_t n = groups * a;
+  plan.switch_count = n;
+  plan.group_of.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
     plan.group_of[s] = static_cast<SwitchId>(s / a);
   }
+  plan.df_groups = static_cast<SwitchId>(groups);
+  plan.df_per_group = static_cast<SwitchId>(a);
   plan.nic_home.resize(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     plan.nic_home[i] = static_cast<SwitchId>(i / npsw);
   }
-  plan.next_hop.resize(plan.switch_count);
+  plan.next_hop.assign(n * n, kInvalidSwitch);
 
   // Group-local links: all-to-all within each group.
   for (std::size_t g = 0; g < groups; ++g) {
@@ -197,9 +204,9 @@ TopologyPlan build_dragonfly(const TopologyConfig& config,
 
   // Dimension-order minimal routing: local hop to the gateway, global hop
   // to the destination group, local hop to the destination switch.
-  for (std::size_t s = 0; s < plan.switch_count; ++s) {
+  for (std::size_t s = 0; s < n; ++s) {
     const std::size_t gs = s / a;
-    for (std::size_t d = 0; d < plan.switch_count; ++d) {
+    for (std::size_t d = 0; d < n; ++d) {
       if (s == d) continue;
       const std::size_t gd = d / a;
       SwitchId next;
@@ -211,7 +218,7 @@ TopologyPlan build_dragonfly(const TopologyConfig& config,
                    ? static_cast<SwitchId>(gd * a + gs % a)  // global hop
                    : static_cast<SwitchId>(gateway);         // toward gateway
       }
-      plan.next_hop[s][static_cast<SwitchId>(d)] = next;
+      plan.next_hop[s * n + d] = next;
     }
   }
   return plan;
@@ -234,90 +241,44 @@ TopologyPlan TopologyPlan::build(const TopologyConfig& config,
   }();
   plan.routing = config.routing;
   plan.seed = seed;
-  finalize_routing_metadata(plan);
+  // Builders that route nothing statically (a single switch) leave the
+  // table empty.
+  plan.next_hop.resize(plan.switch_count * plan.switch_count,
+                       kInvalidSwitch);
+  PlanScratch scratch;
+  finalize_routing_metadata(plan, scratch);
   return plan;
 }
 
-TopologyPlan TopologyPlan::replan(const FailureSet& failures,
-                                  std::uint64_t new_version,
-                                  PlanScratch* scratch) const {
-  TopologyPlan plan = *this;
-  plan.version = new_version;
-  if (failures.empty()) {
-    // Full restore: republish the pristine wiring verbatim (including the
-    // topology-specific static tables the initial build computed), so a
-    // fail/restore cycle returns the fabric to byte-identical routing.
-    return plan;
-  }
-  finalize_routing_metadata(plan, &failures, scratch);
+void TopologyPlan::replan(const FailureSet& failures,
+                          std::uint64_t new_version, PlanScratch& scratch,
+                          TopologyPlan& out) const {
+  // Copy-assignment reuses `out`'s buffers.  A full restore keeps the
+  // pristine tables verbatim (including the topology-specific static next
+  // hops the initial build computed).
+  out = *this;
+  out.version = new_version;
+  if (failures.empty()) return;
+  finalize_routing_metadata(out, scratch, &failures);
 
   // Static next hops over the survivors: for each reachable (s, d) pair,
   // a seeded hash of the pair picks among the minimal candidates.  Like
   // the fat-tree spine hash, different seeds genuinely reshuffle which
   // pairs share a detour link while one seed always re-plans the same
-  // way.
-  plan.next_hop.assign(plan.switch_count, {});
-  for (std::size_t s = 0; s < plan.switch_count; ++s) {
-    if (failures.switch_dead(static_cast<SwitchId>(s))) continue;
-    plan.next_hop[s].reserve(plan.candidates[s].size());
-    for (const auto& [d, cands] : plan.candidates[s]) {
-      if (cands.empty()) continue;
-      const std::uint64_t pair_key =
-          seed ^ FailureSet::link_key(static_cast<SwitchId>(s), d);
-      plan.next_hop[s][d] =
-          cands[Rng(pair_key).next() % cands.size()];
-    }
-  }
-  return plan;
-}
-
-void TopologyPlan::compile_into(CompiledPlan& out) const {
+  // way.  Dead switches have no surviving links, hence no candidates.
   const std::size_t n = switch_count;
-  out.n = n;
-  out.routing = routing;
-  out.version = version;
-  out.group_of.assign(group_of.begin(), group_of.end());
-  out.df_groups =
-      group_of.empty() ? 0 : static_cast<SwitchId>(group_of.back() + 1);
-  out.df_per_group =
-      out.df_groups == 0
-          ? 0
-          : static_cast<SwitchId>(group_of.size() / out.df_groups);
-
-  out.next_hop.assign(n * n, kInvalidSwitch);
-  for (std::size_t s = 0; s < next_hop.size() && s < n; ++s) {
-    for (const auto& [d, nh] : next_hop[s]) {
-      out.next_hop[s * n + d] = nh;
-    }
-  }
-
-  out.min_hops.assign(n * n, kUnreachableHops);
-  for (std::size_t s = 0; s < min_hops.size() && s < n; ++s) {
-    for (const auto& [d, hops] : min_hops[s]) {
-      out.min_hops[s * n + d] = hops;
-    }
-  }
-
-  // CSR candidates: per-cell sizes, exclusive prefix sum, then a fill
-  // pass in (s, d) order — flat output independent of map iteration
-  // order, list contents already ascending from the BFS derivation.
-  out.cand_begin.assign(n * n + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < candidates.size() && s < n; ++s) {
-    for (const auto& [d, list] : candidates[s]) {
-      out.cand_begin[s * n + d + 1] =
-          static_cast<std::uint32_t>(list.size());
-      total += list.size();
-    }
-  }
-  for (std::size_t cell = 1; cell <= n * n; ++cell) {
-    out.cand_begin[cell] += out.cand_begin[cell - 1];
-  }
-  out.cand.resize(total);
-  for (std::size_t s = 0; s < candidates.size() && s < n; ++s) {
-    for (const auto& [d, list] : candidates[s]) {
-      std::copy(list.begin(), list.end(),
-                out.cand.begin() + out.cand_begin[s * n + d]);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t d = 0; d < n; ++d) {
+      const auto cands =
+          out.candidates(static_cast<SwitchId>(s), static_cast<SwitchId>(d));
+      SwitchId next = kInvalidSwitch;
+      if (!cands.empty()) {
+        const std::uint64_t pair_key =
+            seed ^ FailureSet::link_key(static_cast<SwitchId>(s),
+                                        static_cast<SwitchId>(d));
+        next = cands[Rng(pair_key).next() % cands.size()];
+      }
+      out.next_hop[s * n + d] = next;
     }
   }
 }

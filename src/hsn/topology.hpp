@@ -7,7 +7,7 @@
 //   * which edge switch each NIC attaches to,
 //   * the directed inter-switch links (each with its own rate/latency,
 //     so per-link virtual-time accounting stays honest under contention),
-//   * a per-switch next-hop table realizing minimal routing (fat-tree:
+//   * a flat next-hop table realizing minimal routing (fat-tree:
 //     deterministic spine selection; dragonfly: dimension-order
 //     local -> global -> local),
 //   * the routing metadata adaptive policies need at packet time: the
@@ -19,9 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -105,9 +103,6 @@ struct FailureSet {
                                           SwitchId to) noexcept {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
-  [[nodiscard]] bool switch_dead(SwitchId s) const {
-    return switches.contains(s);
-  }
   [[nodiscard]] bool link_dead(SwitchId from, SwitchId to) const {
     return links.contains(link_key(from, to)) || switches.contains(from) ||
            switches.contains(to);
@@ -117,65 +112,30 @@ struct FailureSet {
   }
 };
 
-/// Forwarding state compiled into flat, index-addressed tables — what
-/// switches actually consult per packet.  NIC addresses, switch ids, and
-/// routing targets are dense integers, so the per-packet critical
-/// section can be branch-and-array-only: no hashing, no allocation.
-///
-/// Layout: all pairwise tables are row-major `n x n` vectors indexed by
-/// `s * n + d`; candidate sets use a CSR layout (`cand_begin[cell] ..
-/// cand_begin[cell + 1]` indexes into `cand`), preserving the ascending
-/// switch-id order adaptive tie-breaking relies on.  A CompiledPlan is
-/// an immutable snapshot: the fabric manager compiles one per published
-/// TopologyPlan version and swaps it atomically into every switch.
-struct CompiledPlan {
-  std::size_t n = 0;  ///< switch count (row stride)
-  RoutingPolicy routing = RoutingPolicy::kMinimal;
-  std::uint64_t version = 0;
-  /// Static minimal next hop per (switch, target); kInvalidSwitch when
-  /// unreachable.
-  std::vector<SwitchId> next_hop;
-  /// BFS hop distances; TopologyPlan::kUnreachableHops when unreachable.
-  std::vector<std::int32_t> min_hops;
-  /// CSR offsets (n*n + 1 entries) and data of the minimal-candidate
-  /// neighbor sets, ascending per cell.
-  std::vector<std::uint32_t> cand_begin;
-  std::vector<SwitchId> cand;
-  /// Dragonfly group per switch; empty for other topologies.
-  std::vector<SwitchId> group_of;
-  /// Dragonfly constants precomputed at compile time (0 when not a
-  /// dragonfly): group count and switches per group — the per-packet
-  /// Valiant draw must not re-derive them with a division.
-  SwitchId df_groups = 0;
-  SwitchId df_per_group = 0;
-
-  [[nodiscard]] SwitchId next(SwitchId s, SwitchId d) const noexcept {
-    return next_hop[static_cast<std::size_t>(s) * n + d];
-  }
-  [[nodiscard]] int hops_between(SwitchId s, SwitchId d) const noexcept {
-    if (s == d) return 0;
-    return min_hops[static_cast<std::size_t>(s) * n + d];
-  }
-  [[nodiscard]] std::span<const SwitchId> candidates(
-      SwitchId s, SwitchId d) const noexcept {
-    const std::size_t cell = static_cast<std::size_t>(s) * n + d;
-    return {cand.data() + cand_begin[cell],
-            cand.data() + cand_begin[cell + 1]};
-  }
-};
-
-/// Reusable workspace for BFS re-planning and plan compilation.  The
-/// fabric manager keeps one across republishes so repeated failures do
-/// not re-allocate the per-switch adjacency/distance scratch each time.
+/// Reusable workspace for plan derivation.  The fabric manager keeps one
+/// across republishes so repeated failures do not re-allocate the
+/// adjacency and BFS scratch each time.
 struct PlanScratch {
-  std::vector<std::vector<SwitchId>> out;  ///< adjacency, reused rows
-  std::vector<int> dist;
-  std::deque<SwitchId> queue;
+  /// CSR adjacency of the surviving links: switch `s`'s neighbours are
+  /// `adj[adj_begin[s] .. adj_begin[s + 1]]`, ascending.
+  std::vector<std::uint32_t> adj_begin;
+  std::vector<SwitchId> adj;
+  std::vector<SwitchId> queue;  ///< BFS frontier (head index, no pops)
 };
 
-/// The instantiated wiring for one fabric.  `build` is total: degenerate
-/// configurations are clamped (zero counts become one) rather than
-/// rejected, so Fabric::create never fails on topology grounds.
+/// The instantiated wiring and routing tables for one fabric.  `build` is
+/// total: degenerate configurations are clamped (zero counts become one)
+/// rather than rejected, so Fabric::create never fails on topology
+/// grounds.
+///
+/// The routing tables are flat and index-addressed — exactly what
+/// switches consult per packet.  NIC addresses, switch ids and routing
+/// targets are dense integers, so the per-packet critical section is
+/// branch-and-array-only: no hashing, no allocation.  All pairwise tables
+/// are row-major `n x n` vectors indexed by `s * n + d` (n =
+/// switch_count); candidate sets use a CSR layout (`cand_begin[cell] ..
+/// cand_begin[cell + 1]` indexes into `cand`), in the ascending switch-id
+/// order adaptive tie-breaking relies on.
 ///
 /// Plans are *versioned and republishable*: version 0 is the pristine
 /// build; the fabric manager derives repaired successors via `replan`
@@ -191,26 +151,32 @@ struct TopologyPlan {
   };
 
   TopologyKind kind = TopologyKind::kSingleSwitch;
+  /// Switch count, and the row stride of every pairwise table.
   std::size_t switch_count = 1;
   /// NicAddr -> edge switch hosting that NIC (index == address).
   std::vector<SwitchId> nic_home;
   /// Directed inter-switch links.
   std::vector<PlannedLink> links;
-  /// next_hop[s][home] = neighbor switch on the minimal route from switch
-  /// `s` toward the edge switch `home`.  Absent key means unreachable.
-  std::vector<std::unordered_map<SwitchId, SwitchId>> next_hop;
-  /// candidates[s][d] = every neighbor of `s` that starts a minimal route
-  /// toward switch `d`, in ascending switch-id order (the deterministic
-  /// tie-break adaptive policies rely on).  Keyed by *all* switch pairs,
-  /// not just edge destinations, so Valiant detours can target any
-  /// intermediate switch.
-  std::vector<std::unordered_map<SwitchId, std::vector<SwitchId>>> candidates;
-  /// min_hops[s][d] = inter-switch links on a minimal route s -> d
-  /// (BFS over `links`; absent key means unreachable).  UGAL multiplies
-  /// this by a per-hop cost to estimate path delay.
-  std::vector<std::unordered_map<SwitchId, int>> min_hops;
-  /// Dragonfly: group index per switch.  Empty for other topologies.
+  /// Static minimal next hop per (switch, target); kInvalidSwitch when
+  /// unreachable or not routed statically.
+  std::vector<SwitchId> next_hop;
+  /// Inter-switch links on a minimal route (BFS over the surviving
+  /// `links`); kUnreachableHops when unreachable and on the diagonal.
+  /// UGAL multiplies this by a per-hop cost to estimate path delay.
+  std::vector<std::int32_t> min_hops;
+  /// CSR offsets (n*n + 1 entries) and data of the minimal-candidate
+  /// sets: every neighbour of `s` that starts a minimal route toward `d`.
+  /// Defined for *all* switch pairs, not just edge destinations, so
+  /// Valiant detours can target any intermediate switch.
+  std::vector<std::uint32_t> cand_begin;
+  std::vector<SwitchId> cand;
+  /// Dragonfly group per switch; empty for other topologies.
   std::vector<SwitchId> group_of;
+  /// Dragonfly constants (0 when not a dragonfly): group count and
+  /// switches per group — the per-packet Valiant draw must not re-derive
+  /// them with a division.
+  SwitchId df_groups = 0;
+  SwitchId df_per_group = 0;
   /// Routing policy copied from the config (what switches consult).
   RoutingPolicy routing = RoutingPolicy::kMinimal;
   /// Monotonic plan generation: 0 for the initial build, +1 per
@@ -221,40 +187,39 @@ struct TopologyPlan {
   /// seed (and reshuffles with it), exactly like the initial build.
   std::uint64_t seed = 0;
 
-  /// Minimal hop distance s -> d, or a large sentinel when unreachable.
-  [[nodiscard]] int hops_between(SwitchId s, SwitchId d) const {
-    if (s == d) return 0;
-    if (s >= min_hops.size()) return kUnreachableHops;
-    const auto it = min_hops[s].find(d);
-    return it == min_hops[s].end() ? kUnreachableHops : it->second;
-  }
   static constexpr int kUnreachableHops = 1 << 20;
+
+  [[nodiscard]] SwitchId next(SwitchId s, SwitchId d) const noexcept {
+    return next_hop[static_cast<std::size_t>(s) * switch_count + d];
+  }
+  /// Minimal hop distance s -> d (0 when s == d), or kUnreachableHops.
+  [[nodiscard]] int hops_between(SwitchId s, SwitchId d) const noexcept {
+    if (s == d) return 0;
+    return min_hops[static_cast<std::size_t>(s) * switch_count + d];
+  }
+  [[nodiscard]] std::span<const SwitchId> candidates(
+      SwitchId s, SwitchId d) const noexcept {
+    const std::size_t cell = static_cast<std::size_t>(s) * switch_count + d;
+    return {cand.data() + cand_begin[cell],
+            cand.data() + cand_begin[cell + 1]};
+  }
 
   static TopologyPlan build(const TopologyConfig& config, std::size_t nodes,
                             std::uint64_t seed);
 
-  /// Derives a repaired plan that routes around `failures`: the BFS
-  /// metadata (min_hops, candidates) is recomputed over the surviving
-  /// links only, and the static next-hop tables are re-derived from the
-  /// surviving minimal candidates by a seeded per-(src, dst) hash — the
-  /// same determinism contract as the initial fat-tree spine selection.
-  /// Dead switches route nothing and are routed to by nobody.  Must be
-  /// called on the pristine (version 0) plan, whose `links` describe the
-  /// full wiring.  A non-null `scratch` is reused for the BFS workspace
-  /// (the fabric manager passes one across republishes).
-  [[nodiscard]] TopologyPlan replan(const FailureSet& failures,
-                                    std::uint64_t new_version,
-                                    PlanScratch* scratch = nullptr) const;
-
-  /// Flattens the map-based tables into `out` (see CompiledPlan),
-  /// reusing its buffers.  Deterministic: the flat layout depends only
-  /// on table *contents*, never on unordered_map iteration order.
-  void compile_into(CompiledPlan& out) const;
-  [[nodiscard]] CompiledPlan compile() const {
-    CompiledPlan out;
-    compile_into(out);
-    return out;
-  }
+  /// Derives into `out` a repaired plan that routes around `failures`:
+  /// hop distances and candidates are recomputed over the surviving links
+  /// only, and every static next hop is re-derived from the surviving
+  /// minimal candidates by a seeded per-(src, dst) hash — the same
+  /// determinism contract as the initial fat-tree spine selection.  Dead
+  /// switches route nothing and are routed to by nobody.  An empty
+  /// failure set copies this plan's tables verbatim, so a fail/restore
+  /// cycle returns the fabric to byte-identical routing.  Must be called
+  /// on the pristine (version 0) plan, whose `links` describe the full
+  /// wiring.  `out`'s buffers are reused (the fabric manager recycles
+  /// retired snapshots), as is `scratch`.
+  void replan(const FailureSet& failures, std::uint64_t new_version,
+              PlanScratch& scratch, TopologyPlan& out) const;
 };
 
 }  // namespace shs::hsn

@@ -63,9 +63,10 @@ struct FabricFingerprint {
   std::size_t replans;
   std::uint64_t committed_epoch;
   std::vector<std::uint64_t> applied_epochs;
-  std::vector<std::unordered_map<SwitchId, SwitchId>> next_hop;
-  std::vector<std::unordered_map<SwitchId, std::vector<SwitchId>>>
-      candidates;
+  std::vector<SwitchId> next_hop;
+  std::vector<std::int32_t> min_hops;
+  std::vector<std::uint32_t> cand_begin;
+  std::vector<SwitchId> cand;
 
   bool operator==(const FabricFingerprint&) const = default;
 };
@@ -80,7 +81,9 @@ FabricFingerprint fingerprint(Fabric& f) {
     fp.applied_epochs.push_back(f.switch_at(s).applied_epoch());
   }
   fp.next_hop = plan->next_hop;
-  fp.candidates = plan->candidates;
+  fp.min_hops = plan->min_hops;
+  fp.cand_begin = plan->cand_begin;
+  fp.cand = plan->cand;
   return fp;
 }
 

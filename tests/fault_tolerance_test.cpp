@@ -82,10 +82,10 @@ TEST(FabricManager, SpineFailureReplansAllPairsReachable) {
   for (SwitchId s = 0; s < 4; ++s) {
     for (SwitchId d = 0; d < 4; ++d) {
       if (s == d) continue;
-      const auto& cands = plan->candidates[s].at(d);
+      const auto cands = plan->candidates(s, d);
       ASSERT_EQ(cands.size(), 1u);
       EXPECT_EQ(cands[0], 5u);
-      EXPECT_EQ(plan->next_hop[s].at(d), 5u);
+      EXPECT_EQ(plan->next(s, d), 5u);
     }
   }
 
@@ -238,8 +238,9 @@ TEST(FabricManager, RestoreRepublishesPristineRouting) {
   EXPECT_EQ(f->manager().replans(), 2u);
   // Byte-identical routing state after a full fail/restore cycle.
   EXPECT_EQ(restored->next_hop, pristine->next_hop);
-  EXPECT_EQ(restored->candidates, pristine->candidates);
   EXPECT_EQ(restored->min_hops, pristine->min_hops);
+  EXPECT_EQ(restored->cand_begin, pristine->cand_begin);
+  EXPECT_EQ(restored->cand, pristine->cand);
   EXPECT_TRUE(f->link_up(0, 4));
   EXPECT_EQ(f->manager().failed_switch_count(), 0u);
   EXPECT_EQ(f->manager().failed_link_count(), 0u);

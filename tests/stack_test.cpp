@@ -189,9 +189,9 @@ TEST(StackLifecycleTest, ManySequentialJobsRecycleVnisAfterQuarantine) {
   EXPECT_EQ(stack.registry().allocated_count(), 0u);
 }
 
-TEST(StackRerouteTest, ReroutePublishesNewCompiledPlan) {
+TEST(StackRerouteTest, ReroutePublishesNewPlan) {
   // A stack-level failure injection must end with the fabric manager
-  // publishing a freshly compiled plan version after fm_reroute_delay.
+  // publishing a new plan version after fm_reroute_delay.
   StackConfig cfg;
   cfg.nodes = 32;
   cfg.topology.kind = hsn::TopologyKind::kFatTree;

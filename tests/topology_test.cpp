@@ -260,8 +260,8 @@ TEST(Topology, SchedulerPrefersSameSwitchForSpreadGroups) {
 // Published routing-plan tables
 
 /// The plan every switch currently routes by.
-std::shared_ptr<const CompiledPlan> published(Fabric& f) {
-  return f.manager().compiled_plan();
+std::shared_ptr<const TopologyPlan> published(Fabric& f) {
+  return f.plan();
 }
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
