@@ -1,11 +1,13 @@
 // micro_benchmarks.cpp — google-benchmark microbenchmarks of the hot
 // paths behind the figures: packet routing, endpoint authentication, VNI
-// acquisition, DB transactions, and the fabric manager's replan.  These
+// acquisition, DB transactions, the fabric manager's replan, and an idle
+// cluster's control-plane ticks.  These
 // quantify the real (host) cost of the simulation substrate itself, and
 // double as regression guards for the code paths the figure benches
 // exercise millions of times.
 #include <benchmark/benchmark.h>
 
+#include "core/stack.hpp"
 #include "core/vni_registry.hpp"
 #include "cxi/driver.hpp"
 #include "db/database.hpp"
@@ -224,6 +226,29 @@ BENCHMARK(BM_FabricManagerRepair)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+void BM_StackIdleSecond(benchmark::State& state) {
+  // Host cost of one virtual second of an idle cluster on the
+  // tenant-churn benchmark's dragonfly: the periodic controller ticks
+  // and the kubelets' shared sync round, with no pod anywhere.  It
+  // should not grow with the node count.
+  core::StackConfig cfg;
+  cfg.nodes = static_cast<std::size_t>(state.range(0));
+  cfg.topology.kind = hsn::TopologyKind::kDragonfly;
+  cfg.topology.routing = hsn::RoutingPolicy::kUgal;
+  cfg.topology.nodes_per_switch = 4;
+  cfg.topology.switches_per_group = 4;
+  core::SlingshotStack stack(cfg);
+  std::size_t events = 0;
+  for (auto _ : state) events += stack.loop().run_for(kSecond);
+  state.counters["events_per_vs"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_StackIdleSecond)
+    ->Arg(2)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RdmaWriteRoundTrip(benchmark::State& state) {
   auto fabric = hsn::Fabric::create(2);

@@ -26,7 +26,10 @@ SlingshotStack::SlingshotStack(StackConfig config)
   registry_ = std::make_unique<VniRegistry>(*db_, config_.vni);
   endpoint_ = std::make_unique<VniEndpoint>(*registry_, loop_);
 
-  // Per-node stacks.
+  // Per-node stacks.  The kubelets share one sync round and register
+  // with it in node order.
+  kubelet_round_ = std::make_unique<k8s::KubeletRound>(
+      loop_, api_->params().kubelet_sync_period);
   std::vector<std::string> node_names;
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     auto node = std::make_unique<Node>();
@@ -48,8 +51,8 @@ SlingshotStack::SlingshotStack(StackConfig config)
       node->runtime->add_cni_plugin(node->cxi_cni);
     }
     node->kubelet = std::make_unique<k8s::Kubelet>(
-        *api_, node->name, *node->runtime, master_rng_.fork());
-    node->kubelet->start();
+        *api_, node->name, *node->runtime, master_rng_.fork(),
+        *kubelet_round_);
     node_names.push_back(node->name);
     nodes_.push_back(std::move(node));
   }
@@ -171,7 +174,6 @@ SlingshotStack::~SlingshotStack() {
   vni_controller_->stop();
   scheduler_->stop();
   job_controller_->stop();
-  for (auto& node : nodes_) node->kubelet->stop();
 }
 
 Result<k8s::Uid> SlingshotStack::submit_job(const JobOptions& options) {

@@ -295,6 +295,7 @@ class SlingshotStack {
   std::unique_ptr<k8s::JobController> job_controller_;
   std::unique_ptr<k8s::Scheduler> scheduler_;
   std::unique_ptr<k8s::DecoratorController> vni_controller_;
+  std::unique_ptr<k8s::KubeletRound> kubelet_round_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::size_t reroute_events_ = 0;
   SimDuration last_reroute_latency_ = 0;

@@ -12,31 +12,43 @@ namespace {
 constexpr const char* kTag = "kubelet";
 }
 
-Kubelet::Kubelet(ApiServer& api, std::string node, PodRuntime& runtime,
-                 Rng rng)
-    : api_(api), node_(std::move(node)), runtime_(runtime), rng_(rng) {
-  pod_sink_ = api_.on_node_pod_change(
-      node_, [this](const Pod& p) { dirty_.insert(p.meta.uid); });
-  api_.visit_pods_on_node(
-      node_, [this](const Pod& p) { dirty_.insert(p.meta.uid); });
+KubeletRound::KubeletRound(sim::EventLoop& loop, SimDuration period)
+    : loop_(loop),
+      task_(loop_.schedule_periodic(period, [this] { run(); })) {}
+
+std::size_t KubeletRound::add(Kubelet& kubelet) {
+  kubelets_.push_back(&kubelet);
+  return kubelets_.size() - 1;
 }
 
-Kubelet::~Kubelet() {
-  stop();
-  api_.remove_change_sink(pod_sink_);
-}
-
-void Kubelet::start() {
-  if (task_ != sim::EventLoop::kInvalidTask) return;
-  task_ = api_.loop().schedule_periodic(api_.params().kubelet_sync_period,
-                                        [this] { sync(); });
-}
-
-void Kubelet::stop() {
-  if (task_ != sim::EventLoop::kInvalidTask) {
-    api_.loop().cancel(task_);
-    task_ = sim::EventLoop::kInvalidTask;
+void KubeletRound::run() {
+  for (auto it = woken_.begin(); it != woken_.end();) {
+    const std::size_t i = *it;
+    woken_.erase(it);
+    kubelets_[i]->sync();
+    it = woken_.upper_bound(i);
   }
+}
+
+Kubelet::Kubelet(ApiServer& api, std::string node, PodRuntime& runtime,
+                 Rng rng, KubeletRound& round)
+    : api_(api),
+      node_(std::move(node)),
+      runtime_(runtime),
+      rng_(rng),
+      round_(round),
+      index_(round.add(*this)) {
+  pod_sink_ = api_.on_node_pod_change(
+      node_, [this](const Pod& p) { mark_dirty(p.meta.uid); });
+  api_.visit_pods_on_node(
+      node_, [this](const Pod& p) { mark_dirty(p.meta.uid); });
+}
+
+Kubelet::~Kubelet() { api_.remove_change_sink(pod_sink_); }
+
+void Kubelet::mark_dirty(Uid uid) {
+  if (dirty_.empty()) round_.wake(index_);
+  dirty_.insert(uid);
 }
 
 void Kubelet::sync() {
@@ -82,14 +94,14 @@ void Kubelet::stage(SimDuration cost, std::function<void()> next) {
 
 void Kubelet::finish_create_op(Uid uid) {
   queued_or_active_.erase(uid);
-  dirty_.insert(uid);  // it may be due for (re)queueing
+  mark_dirty(uid);  // it may be due for (re)queueing
   --create_active_;
   pump();
 }
 
 void Kubelet::finish_teardown_op(Uid uid) {
   queued_or_active_.erase(uid);
-  dirty_.insert(uid);
+  mark_dirty(uid);
   --teardown_active_;
   pump();
 }

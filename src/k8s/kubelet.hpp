@@ -1,10 +1,10 @@
 // kubelet.hpp — per-node agent driving pod lifecycles through the CRI.
 //
 // The admission behaviour of Figs 9-12 comes from here: pod create and
-// teardown operations serialize through a small slot pool per node
-// (`kubelet_max_parallel_ops`), each stage paying its modeled cost.  When
-// submission outpaces the drain rate, the queue — and with it the paper's
-// "job admission delay" — grows.
+// teardown operations serialize through small per-node worker pools
+// (`kubelet_create_workers`, `kubelet_teardown_workers`), each stage
+// paying its modeled cost.  When submission outpaces the drain rate, the
+// queue — and with it the paper's "job admission delay" — grows.
 //
 // Grace-period enforcement also lives here: a deleted pod gets at most
 // min(spec.termination_grace_s, 30) seconds before the container is
@@ -13,7 +13,10 @@
 //
 // Change-driven: each sync looks only at the pods bound to this node that
 // changed since the last one (the API server's per-node change sink), or
-// that left the kubelet's own queues.
+// that left the kubelet's own queues.  Kubelets keep no timer of their
+// own: one KubeletRound per cluster ticks every `kubelet_sync_period` and
+// syncs only the kubelets that have such pods, so an idle node costs no
+// loop event.
 #pragma once
 
 #include <deque>
@@ -23,6 +26,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "k8s/api_server.hpp"
 #include "k8s/pod_runtime.hpp"
@@ -33,15 +37,51 @@ namespace shs::k8s {
 /// Hard ceiling on termination grace for VNI-annotated pods (seconds).
 inline constexpr int kMaxVniGraceSeconds = 30;
 
+class Kubelet;
+
+/// The periodic sync of every kubelet in a cluster, as one loop task.
+///
+/// A kubelet wakes the round when its dirty set turns non-empty.  Each
+/// round syncs the woken kubelets in ascending registration index: one
+/// woken by an earlier kubelet's sync in the same round (index above the
+/// cursor) is still visited, one at or below the cursor waits for the
+/// next round.  That is the order in which per-kubelet timers started
+/// in registration order would have fired at the same instant, and a
+/// kubelet with nothing dirty syncs to a no-op, so skipping it changes
+/// nothing but the number of loop events.
+///
+/// The round's task is scheduled at construction and cancelled at
+/// destruction.  Kubelets register for the round's lifetime; the loop
+/// must not run the round after one of them is destroyed.
+class KubeletRound {
+ public:
+  KubeletRound(sim::EventLoop& loop, SimDuration period);
+  ~KubeletRound() { loop_.cancel(task_); }
+  KubeletRound(const KubeletRound&) = delete;
+  KubeletRound& operator=(const KubeletRound&) = delete;
+
+  /// Appends `kubelet`; returns its index.
+  std::size_t add(Kubelet& kubelet);
+  /// Marks kubelet `index` for a sync.
+  void wake(std::size_t index) { woken_.insert(index); }
+
+ private:
+  void run();
+
+  sim::EventLoop& loop_;
+  sim::EventLoop::TaskId task_;
+  std::vector<Kubelet*> kubelets_;
+  std::set<std::size_t> woken_;
+};
+
 class Kubelet {
  public:
-  Kubelet(ApiServer& api, std::string node, PodRuntime& runtime, Rng rng);
+  /// Registers with `round`, which syncs this kubelet from then on.
+  Kubelet(ApiServer& api, std::string node, PodRuntime& runtime, Rng rng,
+          KubeletRound& round);
   ~Kubelet();
   Kubelet(const Kubelet&) = delete;
   Kubelet& operator=(const Kubelet&) = delete;
-
-  void start();
-  void stop();
 
   [[nodiscard]] const std::string& node() const noexcept { return node_; }
   [[nodiscard]] std::size_t queue_depth() const noexcept {
@@ -49,7 +89,11 @@ class Kubelet {
   }
 
  private:
+  friend class KubeletRound;
+
   void sync();
+  /// Queues `uid` for the next sync, waking the round if nothing was.
+  void mark_dirty(Uid uid);
   void pump();
   // Create pipeline, one method per stage; the slot stays held throughout.
   void run_create(Uid uid);
@@ -73,7 +117,8 @@ class Kubelet {
   std::string node_;
   PodRuntime& runtime_;
   Rng rng_;
-  sim::EventLoop::TaskId task_ = sim::EventLoop::kInvalidTask;
+  KubeletRound& round_;
+  std::size_t index_;  ///< in round_
   SubId pod_sink_ = 0;
   /// Pods to look at on the next sync, in uid order.
   std::set<Uid> dirty_;

@@ -9,7 +9,8 @@
 // The loop is deliberately single-threaded (events at equal timestamps are
 // ordered by insertion), so every admission-test run is reproducible.  The
 // RDMA data path does NOT use this loop — it uses per-link virtual-time
-// accounting in src/hsn so that application threads can block naturally.
+// accounting in src/hsn: each post is stamped with the caller's virtual
+// clock and returns its completion time, and nothing waits on the host.
 //
 // Memory: the event queue is a binary heap over a reserved vector.
 // Cancellation is lazy (a cancelled id is dropped when its heap entry

@@ -77,10 +77,12 @@ struct ClusterFixture : ::testing::Test {
     sched = std::make_unique<Scheduler>(
         *api, std::vector<std::string>{"node-0", "node-1"}, Rng(2));
     sched->start();
-    kubelet0 = std::make_unique<Kubelet>(*api, "node-0", rt0, Rng(3));
-    kubelet0->start();
-    kubelet1 = std::make_unique<Kubelet>(*api, "node-1", rt1, Rng(4));
-    kubelet1->start();
+    round = std::make_unique<KubeletRound>(
+        loop, api->params().kubelet_sync_period);
+    kubelet0 =
+        std::make_unique<Kubelet>(*api, "node-0", rt0, Rng(3), *round);
+    kubelet1 =
+        std::make_unique<Kubelet>(*api, "node-1", rt1, Rng(4), *round);
   }
 
   Uid submit(const std::string& name, int pods = 1, int ttl = -1,
@@ -113,6 +115,7 @@ struct ClusterFixture : ::testing::Test {
   FakeRuntime rt0, rt1;
   std::unique_ptr<JobController> jc;
   std::unique_ptr<Scheduler> sched;
+  std::unique_ptr<KubeletRound> round;
   std::unique_ptr<Kubelet> kubelet0, kubelet1;
 };
 

@@ -1328,24 +1328,24 @@ TEST(ControlPlaneDeterminism, SpikeMatchesPinnedDigests) {
   const auto a = spike_episode(0x5b1e);
   EXPECT_EQ(a.pods.size(), 200u);
   EXPECT_EQ(control_plane_digest(a), 0x804cdbd95ad5be27ULL);
-  EXPECT_EQ(a.events, 13191u);
+  EXPECT_EQ(a.events, 12308u);
   const auto b = spike_episode(0x5b1f);
   EXPECT_EQ(control_plane_digest(b), 0x31272be1f03b052aULL);
-  EXPECT_EQ(b.events, 13507u);
+  EXPECT_EQ(b.events, 12591u);
 }
 
 TEST(ControlPlaneDeterminism, RampMatchesPinnedDigest) {
   const auto a = ramp_episode(0xf19);
   EXPECT_EQ(a.pods.size(), 48u);
   EXPECT_EQ(control_plane_digest(a), 0x9efc37465f9292d9ULL);
-  EXPECT_EQ(a.events, 3570u);
+  EXPECT_EQ(a.events, 3312u);
 }
 
 TEST(ControlPlaneDeterminism, ControllerRestartsMatchPinnedDigest) {
   const auto a = restart_episode(0x7e57);
   EXPECT_GE(a.pods.size(), 180u);
   EXPECT_EQ(control_plane_digest(a), 0x092b378b9234a52cULL);
-  EXPECT_EQ(a.events, 8987u);
+  EXPECT_EQ(a.events, 7637u);
 }
 
 TEST(ControlPlaneDeterminism, SwitchFailureMatchesPinnedDigest) {
@@ -1355,7 +1355,7 @@ TEST(ControlPlaneDeterminism, SwitchFailureMatchesPinnedDigest) {
   EXPECT_GT(a.binds.drained_rebound + a.binds.drained_evicted, 0u);
   EXPECT_GT(a.pods.size(), 60u);
   EXPECT_EQ(control_plane_digest(a), 0x43a72366b1e93af0ULL);
-  EXPECT_EQ(a.events, 4651u);
+  EXPECT_EQ(a.events, 3251u);
 }
 
 }  // namespace

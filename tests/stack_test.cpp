@@ -69,6 +69,27 @@ TEST(StackConfigTest, DataPlaneThreadsWiresShardEngine) {
   EXPECT_EQ(stats.pool_hit_rate(), 0.0);
 }
 
+// An idle cluster costs the same loop work at any size: the kubelets
+// share one sync round that visits only nodes with pending pods, so no
+// per-node timer ticks.
+TEST(StackConfigTest, IdleLoopWorkIsFlatInNodeCount) {
+  auto idle_stack = [](std::size_t nodes) {
+    StackConfig cfg;
+    cfg.nodes = nodes;
+    cfg.topology.kind = hsn::TopologyKind::kDragonfly;
+    cfg.topology.nodes_per_switch = 4;
+    cfg.topology.switches_per_group = 4;
+    return std::make_unique<SlingshotStack>(cfg);
+  };
+  auto small = idle_stack(2);
+  auto large = idle_stack(1024);
+  ASSERT_EQ(large->node_count(), 1024u);
+  EXPECT_EQ(large->loop().pending(), small->loop().pending());
+  const std::size_t small_events = small->loop().run_for(10 * kSecond);
+  EXPECT_GT(small_events, 0u);
+  EXPECT_EQ(large->loop().run_for(10 * kSecond), small_events);
+}
+
 TEST(StackSubmitTest, RejectsNamelessJob) {
   SlingshotStack stack;
   EXPECT_EQ(stack.submit_job({}).code(), Code::kInvalidArgument);
