@@ -1,10 +1,9 @@
 // micro_benchmarks.cpp — google-benchmark microbenchmarks of the hot
 // paths behind the figures: packet routing, endpoint authentication, VNI
 // acquisition, DB transactions, the fabric manager's replan, and an idle
-// cluster's control-plane ticks.  These
-// quantify the real (host) cost of the simulation substrate itself, and
-// double as regression guards for the code paths the figure benches
-// exercise millions of times.
+// cluster's control-plane ticks.  These quantify the real (host) cost of
+// the simulation substrate itself, and double as regression guards for
+// the code paths the figure benches exercise millions of times.
 #include <benchmark/benchmark.h>
 
 #include "core/stack.hpp"
